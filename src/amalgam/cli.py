@@ -23,6 +23,7 @@ from .errors import (
     AmalgamError,
     EmbeddingTypeMismatch,
     IncompatibleAmalgam,
+    IntegerTooLarge,
     InvalidGroup,
 )
 from .groups import (
@@ -83,7 +84,17 @@ def _check_json_safe(obj, path="$"):
 def emit_certificate(payload: dict) -> str:
     """Canonical JSON: sorted keys, exact integers, newline-terminated."""
     _check_json_safe(payload)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2)
+    except ValueError:
+        # the only ValueError left once the payload is JSON-safe: the
+        # interpreter's limit on converting an int to decimal text
+        limit = sys.get_int_max_str_digits()
+        raise IntegerTooLarge(
+            f"result holds an integer with more than {limit} decimal digits",
+            max_digits=limit,
+        ) from None
+    return text + "\n"
 
 
 def _result(command: str, body: dict) -> dict:

@@ -128,6 +128,12 @@ class BudgetExceeded(AmalgamError):
     code = "budget-exceeded"
 
 
+class IntegerTooLarge(AmalgamError):
+    """A result holds an integer with more decimal digits than can be printed."""
+
+    code = "integer-too-large"
+
+
 class WordTooLong(AmalgamError):
     code = "word-too-long"
 

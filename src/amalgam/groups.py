@@ -2,9 +2,9 @@
 
 Elements are indices 0..order-1 into an order x order Cayley table, with the
 identity always at index 0 for groups built by the constructors here. Every
-constructor verifies the group axioms exhaustively (associativity is the
-O(n^3) part and can only be skipped with an explicit unsafe flag), so any
-FiniteGroup that exists behaves like one.
+constructor verifies the group axioms exactly (associativity by Light's test
+on a generating set, O(n^2) per generator), so any FiniteGroup that exists
+behaves like one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     NotAPermutation,
     NotNormal,
 )
-from .lattice import FGAbelian, abelianization_from_presentation
 
 DEFAULT_MAX_ORDER = 5000
 DEFAULT_LATTICE_CAP = 256
@@ -34,19 +33,13 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     table[a][b] is the index of the product a*b. generator_indices must
-    generate the whole group; labels are display-only and never enter any
+    generate the whole group and default to every nonidentity element;
+    small_generators is a generating set of at most log2(order) of them,
+    chosen greedily in order. labels are display-only and never enter any
     computation. Two groups are equal exactly when their tables are equal.
     """
 
-    def __init__(
-        self,
-        table,
-        generator_indices=None,
-        labels=None,
-        name: str = "",
-        *,
-        unsafe_skip_associativity: bool = False,
-    ):
+    def __init__(self, table, generator_indices=None, labels=None, name: str = ""):
         t = np.array(table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidGroup(f"table shape {t.shape} is not square")
@@ -59,36 +52,47 @@ class FiniteGroup:
         self.table = t
         self.table.setflags(write=False)
 
-        ident = None
-        for e in range(n):
-            if all(t[e, x] == x for x in range(n)) and all(t[x, e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        ar = np.arange(n)
+        two_sided = (t == ar[None, :]).all(axis=1) & (t == ar[:, None]).all(axis=0)
+        if not two_sided.any():
             raise InvalidGroup("no two-sided identity in table")
+        ident = int(two_sided.argmax())
         self.identity = ident
 
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.where(t[a] == ident)[0]
-            if len(hits) != 1 or t[hits[0], a] != ident:
-                raise InvalidGroup(f"element {a} lacks a unique two-sided inverse")
-            inv[a] = hits[0]
-        self.inverses = inv
+        hits = t == ident
+        inv = hits.argmax(axis=1)
+        bad = (hits.sum(axis=1) != 1) | (t[inv, ar] != ident)
+        if bad.any():
+            raise InvalidGroup(f"element {int(bad.argmax())} lacks a unique two-sided inverse")
+        self.inverses = inv.astype(np.int64)
         self.inverses.setflags(write=False)
-
-        if not unsafe_skip_associativity:
-            for a in range(n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise InvalidGroup(f"associativity fails at element {a}")
 
         if generator_indices is None:
             generator_indices = tuple(x for x in range(n) if x != ident)
         self.generator_indices = tuple(int(g) for g in generator_indices)
+        # Associativity is tested on a generating set, so generation comes
+        # first; declared generators that fall short are extended for the test
+        # and reported after it, keeping the order in which errors are raised.
+        gens, reached = _greedy_generators(
+            self, [g for g in self.generator_indices if 0 <= g < n]
+        )
+        if reached < n:
+            gens, _ = _greedy_generators(self, gens + list(range(n)))
+        # Light's test. Let S be the set of a with (xa)y = x(ay) for all x, y.
+        # S holds the identity, and a, b in S give (x(ab))y = ((xa)b)y =
+        # (xa)(by) = x(a(by)) = x((ab)y), so S holds everything gens reach.
+        for a in gens:
+            if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+                first = next(
+                    x for x in range(n) if not np.array_equal(t[t[x]], t[x][t])
+                )
+                raise InvalidGroup(f"associativity fails at element {first}")
+        self.small_generators = tuple(gens)
+
         for g in self.generator_indices:
             if not 0 <= g < n:
                 raise ElementOutOfRange(f"generator index {g} out of range", index=g)
-        if _closure_from(self, self.generator_indices) != set(range(n)):
+        if reached < n:
             raise InvalidGroup("generator_indices do not generate the group")
 
         if labels is not None:
@@ -157,6 +161,41 @@ def _closure_from(G: FiniteGroup, seeds) -> set[int]:
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def _greedy_generators(G: FiniteGroup, candidates) -> tuple[list[int], int]:
+    """The candidates, in order, that lie outside the span of those kept before.
+
+    Returns the kept elements and the size of the span of all candidates. In a
+    group each kept element at least doubles the span, so at most log2(order)
+    are kept.
+    """
+    gens: list[int] = []
+    span = {G.identity}
+    for c in candidates:
+        if c not in span:
+            gens.append(c)
+            span = _closure_from(G, gens)
+    return gens, len(span)
+
+
+def _normal_closure_from(G: FiniteGroup, seeds, conjugators) -> set[int]:
+    """Smallest subgroup holding the seeds and normalised by the conjugators.
+
+    A subgroup is normalised by a finite group once each conjugator maps each
+    of its generators into it, so only the generators kept here are conjugated.
+    """
+    gens: list[int] = []
+    span = {G.identity}
+    queue = list(seeds)
+    while queue:
+        x = queue.pop()
+        if x in span:
+            continue
+        gens.append(x)
+        span = _closure_from(G, gens)
+        queue.extend(G.conjugate(x, c) for c in conjugators)
+    return span
 
 
 @dataclass(frozen=True)
@@ -229,24 +268,25 @@ def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
     """Smallest normal subgroup of G containing the seeds."""
-    conjugates = {
-        G.conjugate(int(s), g) for s in seeds for g in G.elements()
-    }
-    return subgroup_closure(G, conjugates)
+    seeds = [int(x) for x in seeds]
+    for x in seeds:
+        if not 0 <= x < G.order:
+            raise ElementOutOfRange(f"element {x} out of range", index=x)
+    return Subgroup(G, tuple(sorted(_normal_closure_from(G, seeds, G.small_generators))))
 
 
 def commutator_subgroup(G: FiniteGroup, H: Subgroup, K: Subgroup) -> Subgroup:
-    """[H, K]: normal closure in <H, K> of all commutators [h, k]."""
+    """[H, K]: normal closure in <H, K> of the commutators [h, k].
+
+    With H = <X> and K = <Y>, the commutators of X with Y suffice (Holt, Eick
+    & O'Brien, Handbook of Computational Group Theory, 2005, ch. 3).
+    """
     if H.parent is not G or K.parent is not G:
         raise InvalidGroup("subgroups must live in the given group")
-    coms = set()
-    for h in H.elements:
-        hi = G.inv(h)
-        for k in K.elements:
-            coms.add(G.mul(G.mul(h, k), G.mul(hi, G.inv(k))))
-    joined = _closure_from(G, set(H.elements) | set(K.elements))
-    conjugates = {G.conjugate(c, g) for c in coms for g in joined}
-    return subgroup_closure(G, conjugates)
+    X, _ = _greedy_generators(G, H.elements)
+    Y = X if K.elements == H.elements else _greedy_generators(G, K.elements)[0]
+    coms = [G.mul(G.mul(h, k), G.mul(G.inv(h), G.inv(k))) for h in X for k in Y]
+    return Subgroup(G, tuple(sorted(_normal_closure_from(G, coms, X + Y))))
 
 
 @dataclass(frozen=True)
@@ -520,71 +560,85 @@ def direct_product(
             f"product order {n} exceeds cap {max_order}", cap=max_order, order=n
         )
     sizes = [g.order for g in groups]
-
-    def encode(tup) -> int:
-        out = 0
-        for x, s in zip(tup, sizes):
-            out = out * s + x
-        return out
-
-    decode = list(itertools.product(*[range(s) for s in sizes]))
-    table = [
-        [
-            encode(tuple(g.mul(a[i], b[i]) for i, g in enumerate(groups)))
-            for b in decode
-        ]
-        for a in decode
-    ]
+    # mixed radix, first factor most significant: x = sum of digit_i * weight_i
+    weights = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    table = np.zeros((1, 1), dtype=np.int64)
+    for g in groups:
+        m, s = table.shape[0], g.order
+        table = (table[:, None, :, None] * s + g.table[None, :, None, :]).reshape(m * s, m * s)
     labels = tuple(
-        "(" + ",".join(g.label(x) for g, x in zip(groups, tup)) + ")" for tup in decode
+        "(" + ",".join(tup) + ")"
+        for tup in itertools.product(*[[g.label(x) for x in g.elements()] for g in groups])
     )
-    gens = []
-    for i, g in enumerate(groups):
-        for gen in g.generator_indices:
-            tup = [h.identity for h in groups]
-            tup[i] = gen
-            gens.append(encode(tuple(tup)))
+    base = sum(w * g.identity for w, g in zip(weights, groups))
+    gens = [
+        base + w * (gen - g.identity)
+        for w, g in zip(weights, groups)
+        for gen in g.generator_indices
+    ]
     P = FiniteGroup(
         table,
         generator_indices=tuple(dict.fromkeys(gens)),
         labels=labels,
         name="x".join(g.name or str(g.order) for g in groups),
     )
+    everything = np.arange(n)
     injections = []
     projections = []
-    for i, g in enumerate(groups):
-        imgs = []
-        for x in g.elements():
-            tup = [h.identity for h in groups]
-            tup[i] = x
-            imgs.append(encode(tuple(tup)))
-        injections.append(GroupHom(g, P, tuple(imgs)))
-        projections.append(GroupHom(P, g, tuple(tup[i] for tup in decode)))
+    for w, s, g in zip(weights, sizes, groups):
+        imgs = tuple(base + w * (x - g.identity) for x in g.elements())
+        injections.append(GroupHom(g, P, imgs))
+        projections.append(GroupHom(P, g, tuple((everything // w % s).tolist())))
     return P, injections, projections
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:
-    """Invariant factors of G/[G,G] (unit factors dropped)."""
-    D = commutator_subgroup(G, whole_group(G), whole_group(G))
-    Q, _ = quotient_group(G, D)
-    n = Q.order
-    if n == 1:
-        return []
-    # present Q on all nonidentity elements; Cayley products are the relators
-    relators = []
-    for a in range(1, n):
-        for b in range(1, n):
-            row = [0] * (n - 1)
-            row[a - 1] += 1
-            row[b - 1] += 1
-            c = Q.mul(a, b)
-            if c != Q.identity:
-                row[c - 1] -= 1
-            relators.append(row)
-    ab = abelianization_from_presentation(n - 1, relators)
-    if ab.free_rank:
-        raise InvalidGroup("finite group produced a free abelianization part")
-    return list(ab.torsion)
+    """Invariant factors of G/[G,G] (unit factors dropped).
+
+    For a prime p, write the p-parts of the invariant factors as p^e_1, ...,
+    p^e_r. The number c_k of cosets xG' with x^(p^k) in G' is then
+    p^(min(e_1, k) + ... + min(e_r, k)), so c_k / c_(k-1) = p^(number of e_i >= k).
+    """
+    whole = whole_group(G)
+    D = commutator_subgroup(G, whole, whole)
+    in_D = np.zeros(G.order, dtype=bool)
+    in_D[list(D.elements)] = True
+    # order of every x modulo G', by walking all powers x^k at once
+    ar = np.arange(G.order)
+    orders = np.zeros(G.order, dtype=np.int64)
+    power, k = ar, 1
+    while not orders.all():
+        orders[(orders == 0) & in_D[power]] = k
+        power = G.table[power, ar]
+        k += 1
+    exponents = []  # per prime p dividing |G/G'|: the e_i, largest first
+    rest, p = G.order // D.order, 1
+    while rest > 1:
+        p += 1
+        if rest % p:
+            continue
+        while rest % p == 0:
+            rest //= p
+        at_least = []  # at_least[k - 1] = number of e_i >= k
+        q, prev = p, 1
+        while True:
+            count = int(np.count_nonzero(q % orders == 0)) // D.order
+            rank, step = 0, count // prev
+            while step > 1:
+                step //= p
+                rank += 1
+            if rank == 0:
+                break
+            at_least.append(rank)
+            q, prev = q * p, count
+        exponents.append(
+            (p, [sum(r >= i for r in at_least) for i in range(1, at_least[0] + 1)])
+        )
+    width = max((len(es) for _, es in exponents), default=0)
+    factors = [
+        prod(p ** es[j] for p, es in exponents if j < len(es)) for j in range(width)
+    ]
+    return factors[::-1]
 
 
 def abelian_invariants_of_quotient(G: FiniteGroup, N: Subgroup) -> list[int]:
@@ -653,11 +707,13 @@ def group_from_permutations(
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = _perm_mul(x, g)
+    # BFS; each new element is recorded as (parent, generator) with
+    # elems[y] = elems[parent] * gens[generator]
+    parent, via = [0], [0]
+    right = [[] for _ in gens]  # right[j][x] = index of elems[x] * gens[j]
+    for x, p in enumerate(elems):
+        for j, g in enumerate(gens):
+            y = _perm_mul(p, g)
             if y not in index:
                 if len(elems) >= max_order:
                     raise ClosureCapExceeded(
@@ -665,17 +721,28 @@ def group_from_permutations(
                     )
                 index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
-    table = [[index[_perm_mul(a, b)] for b in elems] for a in elems]
+                parent.append(x)
+                via.append(j)
+            right[j].append(index[y])
+    n = len(elems)
+    right = [np.array(col, dtype=np.int64) for col in right]
+    # row y of `cols` is column y of the table: x * y = (x * parent) * gen
+    cols = np.empty((n, n), dtype=np.int64)
+    cols[0] = np.arange(n)
+    for y in range(1, n):
+        cols[y] = right[via[y]][cols[parent[y]]]
     labels = tuple(cycle_label(p) for p in elems)
     gen_idx = tuple(dict.fromkeys(index[g] for g in gens))
-    return FiniteGroup(table, generator_indices=gen_idx or None, labels=labels, name=name)
+    return FiniteGroup(
+        np.ascontiguousarray(cols.T), generator_indices=gen_idx or None, labels=labels, name=name
+    )
 
 
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
     if n < 1:
         raise InvalidGroup(f"cyclic order {n} must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    ar = np.arange(n)
+    table = (ar[:, None] + ar[None, :]) % n
     labels = tuple("e" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
     gens = (1,) if n > 1 else None
     return FiniteGroup(table, generator_indices=gens, labels=labels, name=name or f"C{n}")

@@ -11,6 +11,7 @@ small solvable groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .certs import Certificate, Check, Exhausted, WitnessResult, word_to_json
 from .errors import (
@@ -280,10 +281,12 @@ class SolvableCatalog:
         return len(self.groups)
 
 
+@cache
 def solvable_catalog(max_order: int = DEFAULT_CATALOG_MAX) -> SolvableCatalog:
     """Fixed, deduplicated list of small solvable targets, sorted for determinism.
 
     Constructed, not classified: a useful set, not all groups of these orders.
+    Built once per max_order; callers share the result and must not change it.
     """
     base = [cyclic_group(n) for n in range(2, 13)]
     base += [dihedral_group(n) for n in range(3, 7)]

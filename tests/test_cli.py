@@ -3,6 +3,8 @@
 import io
 import json
 import pathlib
+import random
+import sys
 
 import pytest
 
@@ -174,3 +176,14 @@ def test_witness_restricted_engines_flag_changes_target():
     assert json.loads(out0)["engine"] == "double"
     assert json.loads(out1)["engine"] == "central_amalgam"
     assert json.loads(out1)["target"]["order"] == 32
+
+
+def test_snf_with_unprintable_entries_fails_with_error_envelope():
+    rng = random.Random(2)
+    rows = [[rng.randint(-50, 50) for _ in range(9)] for _ in range(9)]
+    code, out, err = _run(["snf", "--matrix", json.dumps(rows)])
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["code"] == "integer-too-large"
+    assert doc["error"]["details"] == {"max_digits": sys.get_int_max_str_digits()}

@@ -1,7 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amalgam.errors import (
     ClosureCapExceeded,
+    ElementOutOfRange,
     InvalidGroup,
     NotAHomomorphism,
     NotAPermutation,
@@ -38,6 +43,7 @@ from amalgam.groups import (
     whole_group,
     GroupHom,
 )
+from amalgam.lattice import abelianization_from_presentation
 
 
 # -- independent oracles -------------------------------------------------
@@ -66,6 +72,37 @@ def brute_derived_term(G, members):
     span = brute_closure(G, members)
     conj = {G.conjugate(c, g) for c in coms for g in span}
     return brute_closure(G, conj)
+
+
+def brute_first_nonassociative(table):
+    """Smallest a with (ax)y != a(xy) for some x, y; None for an associative table."""
+    n = len(table)
+    for a in range(n):
+        for x in range(n):
+            for y in range(n):
+                if table[table[a][x]][y] != table[a][table[x][y]]:
+                    return a
+    return None
+
+
+def relator_invariants(G):
+    """Invariant factors of G/G' from a presentation on all its nonidentity elements."""
+    D = commutator_subgroup(G, whole_group(G), whole_group(G))
+    Q, _ = quotient_group(G, D)
+    n = Q.order
+    relators = []
+    for a in range(1, n):
+        for b in range(1, n):
+            row = [0] * (n - 1)
+            row[a - 1] += 1
+            row[b - 1] += 1
+            c = Q.mul(a, b)
+            if c != Q.identity:
+                row[c - 1] -= 1
+            relators.append(row)
+    ab = abelianization_from_presentation(n - 1, relators)
+    assert ab.free_rank == 0
+    return list(ab.torsion)
 
 
 def brute_derived_orders(G):
@@ -126,10 +163,93 @@ def test_nonassociative_table_rejected():
         FiniteGroup(table)
 
 
-def test_unsafe_flag_skips_associativity():
+# an order-5 loop: identity 0 and unique two-sided inverses, not associative
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+# LOOP5 x C2 with the loop digit most significant: element 1 = (0, 1) is
+# associative with everything, so Light's test must go past the first generator
+LOOP5_C2 = [[2 * LOOP5[a // 2][b // 2] + (a + b) % 2 for b in range(10)] for a in range(10)]
+
+
+@pytest.mark.parametrize("table", [LOOP5, LOOP5_C2], ids=["loop5", "loop5_c2"])
+def test_nonassociative_loop_rejected_at_first_bad_element(table):
+    first = brute_first_nonassociative(table)
+    assert first is not None
+    with pytest.raises(InvalidGroup, match=f"associativity fails at element {first}$"):
+        FiniteGroup(table)
+
+
+@pytest.mark.parametrize("gens", [(), (1,), (9,)])
+def test_associativity_is_reported_before_generation(gens):
+    with pytest.raises(InvalidGroup, match="associativity fails"):
+        FiniteGroup(LOOP5, generator_indices=gens)
+
+
+def test_generation_and_range_errors_on_a_group():
+    table = cyclic_group(6).table
+    with pytest.raises(InvalidGroup, match="do not generate"):
+        FiniteGroup(table, generator_indices=(2,))
+    with pytest.raises(ElementOutOfRange):
+        FiniteGroup(table, generator_indices=(1, 6))
+
+
+def test_cyclic_order3_table_builds():
     table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
-    G = FiniteGroup(table, unsafe_skip_associativity=True)
+    G = FiniteGroup(table)
     assert G.order == 3
+
+
+def test_cyclic_1024_builds_and_validates():
+    G = cyclic_group(1024)
+    assert G.order == 1024
+    assert G.small_generators == (1,)
+    assert G.mul(1000, 30) == 6 and G.inv(1) == 1023
+
+
+def _random_latin_square(n, rng):
+    """Latin square with first row and column 0..n-1, filled by random backtracking."""
+    rows = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        used = set(rows[r][:c]) | {rows[i][c] for i in range(r)}
+        choices = [v for v in range(n) if v not in used]
+        rng.shuffle(choices)
+        for v in choices:
+            rows[r][c] = v
+            if fill(k + 1):
+                return True
+        rows[r][c] = None
+        return False
+
+    assert fill(0)
+    return rows
+
+
+@given(st.integers(4, 6), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_latin_squares_accepted_exactly_when_associative(n, rng):
+    table = _random_latin_square(n, rng)
+    associative = brute_first_nonassociative(table) is None
+    try:
+        FiniteGroup(table)
+    except InvalidGroup:
+        assert not associative
+    else:
+        assert associative
+
+
+def test_relabelled_groups_accepted():
+    rng = random.Random(5)
+    for G in (cyclic_group(6), symmetric_group(3), dihedral_group(4), quaternion_group()):
+        perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+        back = {p: i for i, p in enumerate(perm)}
+        table = [[perm[G.mul(back[a], back[b])] for b in range(G.order)] for a in range(G.order)]
+        assert FiniteGroup(table).order == G.order
 
 
 def test_cycle_label_roundtrip():
@@ -164,6 +284,12 @@ def test_normal_closure_of_double_transposition_in_s4():
     nc = normal_closure(G, [t])
     assert nc.order == 4  # the Klein subgroup
     assert nc.is_normal()
+
+
+@pytest.mark.parametrize("seed", [-1, 24])
+def test_normal_closure_rejects_out_of_range_seeds(seed):
+    with pytest.raises(ElementOutOfRange):
+        normal_closure(symmetric_group(4), [seed])
 
 
 # -- series, solvability, nilpotency --------------------------------------
@@ -333,6 +459,40 @@ def test_abelian_invariants_perfectish():
 
 def test_abelian_invariants_c2xc4():
     assert abelian_invariants(abelian_group([2, 4])) == [2, 4]
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        cyclic_group(1),
+        cyclic_group(12),
+        abelian_group([2, 2, 4]),
+        abelian_group([6, 4]),
+        abelian_group([3, 9]),
+        symmetric_group(3),
+        symmetric_group(4),
+        alternating_group(4),
+        dihedral_group(4),
+        dihedral_group(6),
+        quaternion_group(),
+    ],
+    ids=lambda G: G.name,
+)
+def test_abelian_invariants_match_relator_presentation(G):
+    assert abelian_invariants(G) == relator_invariants(G)
+
+
+def test_abelian_invariants_c3xc9xc9_as_permutations():
+    G = group_from_permutations(
+        21,
+        [
+            perm_from_cycles(21, [(1, 2, 3)]),
+            perm_from_cycles(21, [tuple(range(4, 13))]),
+            perm_from_cycles(21, [tuple(range(13, 22))]),
+        ],
+    )
+    assert G.order == 243
+    assert abelian_invariants(G) == [3, 9, 9]
 
 
 # -- homomorphisms -----------------------------------------------------------

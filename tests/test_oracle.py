@@ -218,9 +218,18 @@ def test_catalog_respects_max_order():
     assert len(cat) < len(solvable_catalog(24))
 
 
-def test_catalog_construction_is_deterministic():
+def test_catalog_is_built_once_per_max_order():
     a = solvable_catalog(24)
     b = solvable_catalog(24)
+    assert a is b
+    assert all(x is y for x, y in zip(a, b))
+    assert solvable_catalog(8) is not a
+    assert all(not g.table.flags.writeable for g in a)
+
+
+def test_catalog_construction_is_deterministic():
+    a = solvable_catalog.__wrapped__(24)
+    b = solvable_catalog.__wrapped__(24)
     assert [(g.name, g.table.tobytes()) for g in a] == [
         (g.name, g.table.tobytes()) for g in b
     ]
