@@ -187,3 +187,107 @@ def test_snf_with_unprintable_entries_fails_with_error_envelope():
     doc = json.loads(err)
     assert doc["error"]["code"] == "integer-too-large"
     assert doc["error"]["details"] == {"max_digits": sys.get_int_max_str_digits()}
+
+
+# ----------------------------------------------- certify on the wrong shape
+
+WRONG_SHAPE_SPECS = {
+    "klein_pair": """\
+group D4 = perm 4 { (1 2 3 4); (1 3) }
+group V = perm 4 { (1 2); (3 4) }
+embed ea : V -> D4 { g1 -> (1 3); g2 -> (2 4) }
+embed eb : V -> D4 { g1 -> (1 3); g2 -> (2 4) }
+amalgam K = D4, D4 over V via ea, eb
+""",
+    "s5_pair": """\
+group S5 = perm 5 { (1 2); (1 2 3 4 5) }
+group C2 = cyclic 2
+embed ea : C2 -> S5 { g -> (1 2) }
+embed eb : C2 -> S5 { g -> (1 2) }
+amalgam F = S5, S5 over C2 via ea, eb
+""",
+    "c3_whole": """\
+group C3 = cyclic 3
+embed ea : C3 -> C3 { g -> g }
+embed eb : C3 -> C3 { g -> g }
+amalgam W = C3, C3 over C3 via ea, eb
+""",
+    "torsion_lattice": """\
+group A = abelian [2,0]
+group B = free-abelian 1
+group C = free-abelian 1
+embed ea : C -> A { g -> g2^2 }
+embed eb : C -> B { g -> g1 }
+amalgam M = A, B over C via ea, eb
+""",
+    "finite_over_rank0": """\
+group S3 = perm 3 { (1 2); (1 2 3) }
+group C = free-abelian 0
+embed ea : C -> S3 { }
+embed eb : C -> S3 { }
+amalgam R = S3, S3 over C via ea, eb
+""",
+    "mixed_over_rank0": """\
+group S3 = perm 3 { (1 2); (1 2 3) }
+group Z = free-abelian 1
+group C = free-abelian 0
+embed ea : C -> S3 { }
+embed eb : C -> Z { }
+amalgam R = S3, Z over C via ea, eb
+""",
+}
+
+FINITE_FACTORS = ("embedding-type-mismatch", "this theorem needs finite factors")
+NOT_LATTICE_0 = ("embedding-type-mismatch", "factor 0 is not a lattice with a matrix embedding")
+
+CERTIFY_ERRORS = [
+    ("not-perfect", "{G}/q8_triple.amg", [],
+     ("incompatible-amalgam", "this theorem needs exactly 2 factors, got 3")),
+    ("not-perfect", "{G}/lattice.amg", [], FINITE_FACTORS),
+    ("not-perfect", "finite_over_rank0", [],
+     ("embedding-type-mismatch", "this theorem needs a finite amalgam group")),
+    ("not-perfect", "c3_whole", [],
+     ("not-proper-subgroup", "the amalgam copy in the first factor is not proper")),
+    ("cyclic", "{G}/q8_triple.amg", [],
+     ("incompatible-amalgam", "this theorem needs exactly 2 factors, got 3")),
+    ("cyclic", "{G}/lattice.amg", [], FINITE_FACTORS),
+    ("cyclic", "finite_over_rank0", [],
+     ("embedding-type-mismatch", "this theorem needs a finite amalgam group")),
+    ("cyclic", "klein_pair", [],
+     ("invalid-group", "the amalgam group of order 4 is not cyclic")),
+    ("cyclic", "s5_pair", [], ("not-solvable", "left factor is not solvable")),
+    ("central", "{G}/lattice.amg", [], FINITE_FACTORS),
+    ("central", "{G}/s3_pair.amg", [],
+     ("not-central", "image of amalgam element g is not central in factor 0")),
+    ("central", "{G}/q8_s3.amg", [],
+     ("not-central", "image of amalgam element g is not central in factor 1")),
+    ("central", "finite_over_rank0", [],
+     ("incompatible-amalgam", "embedding 0 must map the amalgam into factor 0")),
+    ("double", "{G}/lattice.amg", [], FINITE_FACTORS),
+    ("double", "{G}/d4_q8.amg", [],
+     ("incompatible-amalgam",
+      "the double theorem needs literal factor copies with identical amalgam "
+      "embeddings; these factors differ")),
+    ("abelian-factor", "{G}/s3_pair.amg", [], NOT_LATTICE_0),
+    ("abelian-factor", "mixed_over_rank0", [], NOT_LATTICE_0),
+    ("abelian-factor", "{G}/lattice.amg", ["--factor", "2"],
+     ("usage-error", "--factor 2 out of range")),
+    ("abelian-factor", "torsion_lattice", [],
+     ("not-torsion-free", "the split factor must be torsion-free")),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,spec,extra,expected",
+    CERTIFY_ERRORS,
+    ids=[f"{t}-{pathlib.Path(s).stem}{''.join(x)}" for t, s, x, _ in CERTIFY_ERRORS],
+)
+def test_certify_error_on_wrong_shape(tmp_path, theorem, spec, extra, expected):
+    if spec in WRONG_SHAPE_SPECS:
+        path = tmp_path / f"{spec}.amg"
+        path.write_text(WRONG_SHAPE_SPECS[spec])
+        spec = str(path)
+    code, out, err = _run(["certify", "--spec", spec, "--theorem", theorem, *extra])
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert (error["code"], error["message"]) == expected
