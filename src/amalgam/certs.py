@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .groups import FiniteGroup, derived_length
+
 
 @dataclass(frozen=True)
 class Check:
@@ -95,9 +97,32 @@ class WitnessResult:
         }
 
 
+def witness_result(
+    cert: Certificate, target: FiniteGroup, word, word_label: str, image: int
+) -> WitnessResult:
+    """The separation of word by cert's construction: image is its image in target."""
+    dl = derived_length(target)
+    return WitnessResult(
+        word=list(word),
+        word_label=word_label,
+        engine=cert.kind,
+        target_description={"order": target.order, "name": target.name, "derived_length": dl},
+        hom_data=cert.hom_data,
+        image=image,
+        image_label=target.label(image),
+        target_derived_length=dl,
+        certificate=cert,
+    )
+
+
 @dataclass
 class NotSeparatedAtLevelOne:
-    """Every applicable engine mapped the word to the identity."""
+    """No engine separated the word.
+
+    reason has one note per engine that ran: the word died in its quotient,
+    its search was exhausted, or it stopped at a resource limit (the note
+    names the error code). certificates holds each quotient that was built.
+    """
 
     word: list
     word_label: str

@@ -7,7 +7,9 @@ produce byte-identical output.
 
 Exit codes: 0 when every check passed (or the query succeeded), 2 when the
 construction ran but a check failed or a word was not separated, 1 on any
-error. Errors are printed to stderr as structured JSON, never tracebacks.
+error. A witness engine stopped by --max-order, --budget or the generator cap
+is not an error: it is named in the reason, and the next engine runs.
+Errors are printed to stderr as structured JSON, never tracebacks.
 """
 
 from __future__ import annotations
@@ -19,34 +21,18 @@ import sys
 
 from . import dsl, oracle
 from .certs import word_to_json
-from .errors import (
-    AmalgamError,
-    EmbeddingTypeMismatch,
-    IncompatibleAmalgam,
-    IntegerTooLarge,
-    InvalidGroup,
-)
+from .errors import AmalgamError, IntegerTooLarge, InvalidGroup
 from .groups import (
     DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     abelian_invariants,
     frattini,
-    identity_hom,
     is_nilpotent,
     series,
-    subgroup,
 )
 from .lattice import FGAbelian, IntMatrix, snf
-from .witness import (
-    ENGINE_ORDER,
-    abelian_factor_quotient,
-    central_amalgam_quotient,
-    cyclic_amalgam_quotient,
-    double_retraction,
-    not_perfect_certificate,
-    separate_element,
-)
+from .witness import ENGINE_ORDER, ENGINES, THEOREMS, separate_element
 from .words import AmalgamSpec, reduce, word_label
 
 SCHEMA = 1
@@ -174,8 +160,6 @@ def _cmd_normal_form(ctx, args):
 
 
 def _cmd_equal(ctx, args):
-    if len(args.word) != 2:
-        raise _UsageError("equal needs exactly two --word flags")
     aname1, w1 = _pick_word(ctx, args.word[0], args.amalgam)
     aname2, w2 = _pick_word(ctx, args.word[1], args.amalgam)
     if aname1 != aname2:
@@ -282,94 +266,20 @@ def _cmd_frattini(ctx, args):
     return _result("frattini", body), 0
 
 
-def _finite_pair(spec: AmalgamSpec):
-    if len(spec.factors) != 2:
-        raise IncompatibleAmalgam(
-            f"this theorem needs exactly 2 factors, got {len(spec.factors)}"
-        )
-    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
-        raise EmbeddingTypeMismatch("this theorem needs finite factors")
-    if not isinstance(spec.amalgam, FiniteGroup):
-        raise EmbeddingTypeMismatch("this theorem needs a finite amalgam group")
-    return spec.factors[0], spec.factors[1], spec.embeddings[0], spec.embeddings[1]
-
-
-def _certify_not_perfect(spec: AmalgamSpec, args):
-    A, B, e1, e2 = _finite_pair(spec)
-    C = spec.amalgam
-    C_A = subgroup(A, sorted(set(e1.images)))
-    C_B = subgroup(B, sorted(set(e2.images)))
-    iso = {e1.apply(c): e2.apply(c) for c in range(C.order)}
-    return not_perfect_certificate(
-        A, B, C_A, C_B, iso, frattini_cap=args.frattini_cap
-    )
-
-
-def _cyclic_generator(C: FiniteGroup) -> int:
-    for x in range(C.order):
-        if C.element_order(x) == C.order:
-            return x
-    raise InvalidGroup(f"the amalgam group of order {C.order} is not cyclic")
-
-
-def _certify_cyclic(spec: AmalgamSpec, args):
-    A, B, e1, e2 = _finite_pair(spec)
-    gen = _cyclic_generator(spec.amalgam)
-    return cyclic_amalgam_quotient(
-        A, B, e1.apply(gen), e2.apply(gen), max_order=args.max_order
-    )
-
-
-def _certify_central(spec: AmalgamSpec, args):
-    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
-        raise EmbeddingTypeMismatch("this theorem needs finite factors")
-    return central_amalgam_quotient(
-        spec.factors, spec.amalgam, spec.embeddings, max_order=args.max_order
-    )
-
-
-def _certify_double(spec: AmalgamSpec, args):
-    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
-        raise EmbeddingTypeMismatch("this theorem needs finite factors")
-    first = spec.factors[0]
-    copies = all(f == first for f in spec.factors)
-    images = [tuple(e.images) for e in spec.embeddings]
-    if not copies or any(im != images[0] for im in images):
-        raise IncompatibleAmalgam(
-            "the double theorem needs literal factor copies with identical "
-            "amalgam embeddings; these factors differ"
-        )
-    C_sub = subgroup(first, sorted(set(images[0])))
-    isos = [identity_hom(first) for _ in spec.factors]
-    return double_retraction(spec.factors, isos, C_sub)
-
-
-def _certify_abelian_factor(spec: AmalgamSpec, args):
-    i = args.factor
-    if not 0 <= i < len(spec.factors):
-        raise _UsageError(f"--factor {i} out of range")
-    A = spec.factors[i]
-    e = spec.embeddings[i]
-    if not isinstance(A, FGAbelian) or not isinstance(e, IntMatrix):
-        raise EmbeddingTypeMismatch(
-            f"factor {i} is not a lattice with a matrix embedding"
-        )
-    return abelian_factor_quotient(A, e)
-
-
-_THEOREMS = {
-    "not-perfect": _certify_not_perfect,
-    "cyclic": _certify_cyclic,
-    "central": _certify_central,
-    "double": _certify_double,
-    "abelian-factor": _certify_abelian_factor,
-}
-
-
 def _cmd_certify(ctx, args):
     aname = _pick_amalgam(ctx, args.amalgam)
     spec = ctx.amalgams[aname]
-    cert = _THEOREMS[args.theorem](spec, args)
+    if args.theorem == "abelian-factor" and not 0 <= args.factor < len(spec.factors):
+        raise _UsageError(f"--factor {args.factor} out of range")
+    check, build, _ = ENGINES[args.theorem]
+    limits = {
+        "max_order": args.max_order,
+        "frattini_cap": args.frattini_cap,
+        "factor": args.factor,
+    }
+    if error := check(spec, limits):
+        raise error
+    cert = build(spec, limits)
     body = {
         "amalgam": aname,
         "theorem": args.theorem,
@@ -382,7 +292,12 @@ def _cmd_certify(ctx, args):
 def _cmd_witness(ctx, args):
     aname, w = _pick_word(ctx, args.word[0], args.amalgam)
     spec = ctx.amalgams[aname]
-    engines = tuple(args.engines.split(",")) if args.engines else ENGINE_ORDER
+    engines = ENGINE_ORDER if args.engines is None else tuple(args.engines.split(","))
+    if not all(e in ENGINE_ORDER for e in engines):
+        raise _UsageError(
+            f"--engines takes a comma-separated list of {', '.join(ENGINE_ORDER)}; "
+            f"got {args.engines!r}"
+        )
     res = separate_element(
         spec,
         w,
@@ -461,19 +376,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--group", help="declared group name")
     p.add_argument("--amalgam", help="declared amalgam name")
     p.add_argument("--matrix", help="integer matrix literal, e.g. [[2,4],[6,8]]")
-    p.add_argument("--theorem", choices=sorted(_THEOREMS))
+    p.add_argument("--theorem", choices=THEOREMS)
     p.add_argument("--factor", type=int, default=0, help="factor index (abelian-factor)")
     p.add_argument("--engines", help="comma-separated engine subset")
     p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     p.add_argument("--catalog-max", type=int, default=oracle.DEFAULT_CATALOG_MAX)
     p.add_argument("--frattini-cap", type=int, default=DEFAULT_LATTICE_CAP)
-    p.add_argument(
-        "--transversal",
-        choices=["min-index"],
-        default="min-index",
-        help="coset representative strategy (one option for now)",
-    )
     p.add_argument("--random", type=int, default=100, help="random word count (oracle-check)")
     p.add_argument("--max-len", type=int, default=6, help="random word length cap")
     p.add_argument("--seed", type=int, default=0)

@@ -182,9 +182,6 @@ class _Cursor:
             )
         return int(tok.text)
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
     def require_end(self):
         tok = self.peek()
         if tok is not None:

@@ -254,10 +254,6 @@ def whole_group(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
 
 
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (G.identity,))
-
-
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
     seeds = [int(x) for x in seeds]
     for x in seeds:
@@ -446,9 +442,6 @@ class GroupHom:
             self.source,
             tuple(sorted(x for x in self.source.elements() if self.images[x] == e)),
         )
-
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, tuple(sorted(set(self.images))))
 
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
@@ -639,11 +632,6 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
         prod(p ** es[j] for p, es in exponents if j < len(es)) for j in range(width)
     ]
     return factors[::-1]
-
-
-def abelian_invariants_of_quotient(G: FiniteGroup, N: Subgroup) -> list[int]:
-    Q, _ = quotient_group(G, N)
-    return abelian_invariants(Q)
 
 
 # -- constructors ------------------------------------------------------------

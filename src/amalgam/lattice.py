@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .errors import IncompatibleAmalgam, InvalidGroup, NotTorsionFree
+from .errors import IncompatibleAmalgam, InvalidGroup
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -83,11 +83,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix.from_rows(
-            [[self.entry(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def mul(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
@@ -495,9 +490,6 @@ class FGAbelian:
     def neg(self, a) -> tuple[int, ...]:
         return self.canon([-x for x in a])
 
-    def scale(self, a, k: int) -> tuple[int, ...]:
-        return self.canon([k * x for x in a])
-
     def relation_columns(self) -> list[tuple[int, ...]]:
         """Columns of Z^ngens that are identified with zero (the torsion)."""
         cols = []
@@ -540,11 +532,6 @@ class IndexSplit:
         for digit, d in zip(self.digits(v), self.divisors):
             idx = idx * d + digit
         return idx
-
-    def canonical_rep(self, v) -> tuple[int, ...]:
-        digits = self.digits(v)
-        y = list(digits) + [0] * (self.ambient_rank - len(digits))
-        return self.basis_change.matvec(y)
 
     def contains(self, v) -> bool:
         """Membership in the finite-index subgroup C (+) H."""

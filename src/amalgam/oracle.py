@@ -10,10 +10,10 @@ small solvable groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
-from .certs import Certificate, Check, Exhausted, WitnessResult, word_to_json
+from .certs import Certificate, Check, Exhausted, witness_result
 from .errors import (
     BudgetExceeded,
     ElementOutOfRange,
@@ -33,7 +33,7 @@ from .groups import (
     quaternion_group,
     symmetric_group,
 )
-from .lattice import FGAbelian, LatticeSubgroup
+from .lattice import LatticeSubgroup
 from .words import AmalgamSpec, NormalForm
 
 GENERATOR_CAP = 64
@@ -196,12 +196,6 @@ class Presentation:
                 if g == 0 or abs(g) > self.ngens:
                     raise ElementOutOfRange(f"relator letter {g} out of range")
 
-    def generator_of(self, factor: int, element: int) -> int:
-        for g, (i, x) in enumerate(self.gen_elements, start=1):
-            if (i, x) == (factor, element):
-                return g
-        raise ElementOutOfRange(f"({factor}, {element}) is not a generator")
-
 
 def presentation_of_amalgam(spec: AmalgamSpec, cap: int = GENERATOR_CAP) -> Presentation:
     """Generators: every nonidentity factor element; relators: Cayley + glue."""
@@ -347,7 +341,7 @@ def hom_search(
     w,
     budget: int = DEFAULT_BUDGET,
     *,
-    word=None,
+    word=(),
     word_label: str = "",
 ):
     """First homomorphism (deterministic order) separating w, or Exhausted.
@@ -441,21 +435,7 @@ def hom_search(
         label = word_label or " * ".join(
             (f"g{g}" if g > 0 else f"g{-g}^-1") for g in w
         )
-        return WitnessResult(
-            word=list(word) if word is not None else [],
-            word_label=label,
-            engine="oracle_witness",
-            target_description={
-                "order": target.order,
-                "name": target.name,
-                "derived_length": derived_length(target),
-            },
-            hom_data=cert.hom_data,
-            image=image,
-            image_label=target.label(image),
-            target_derived_length=derived_length(target),
-            certificate=cert,
-        )
+        return witness_result(cert, target, word, label, image)
     return Exhausted(nodes=nodes, targets_tried=len(catalog))
 
 

@@ -2,27 +2,37 @@
 
 Each engine builds the quotient its strategy calls for, induces the
 homomorphism out of the amalgam, runs the verification exhaustively, and
-packages a Certificate. separate_element dispatches a word through every
-engine whose hypotheses match the amalgam and returns the first witness
-with a verified-solvable target, or NotSeparatedAtLevelOne.
+packages a Certificate. ENGINES holds every engine once, in dispatch order:
+a check that says whether it applies to an amalgam and a build that runs it.
+The certify command and separate_element both go through that table.
+
+separate_element runs each applicable engine in turn and returns the first
+witness with a verified-solvable target, or NotSeparatedAtLevelOne. An engine
+stopped by a resource limit (the quotient order cap, the search budget or the
+presentation's generator cap) is an outcome of that engine, named in the
+reason, and dispatch moves on to the next one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from . import oracle as oracle_mod
-from .certs import Certificate, Check, NotSeparatedAtLevelOne, WitnessResult
+from .certs import Certificate, Check, NotSeparatedAtLevelOne, WitnessResult, witness_result
 from .errors import (
+    BudgetExceeded,
+    ClosureCapExceeded,
     EmbeddingTypeMismatch,
     IdentityElement,
     IdentityWord,
     IncompatibleAmalgam,
+    InvalidGroup,
     NotIsomorphism,
     NotProperSubgroup,
     NotSolvable,
     NotTorsionFree,
     OrderMismatch,
+    TooManyGenerators,
 )
 from .groups import (
     DEFAULT_LATTICE_CAP,
@@ -31,7 +41,6 @@ from .groups import (
     GroupHom,
     Subgroup,
     abelian_invariants,
-    center,
     cyclic_group,
     derived_length,
     direct_product,
@@ -52,8 +61,8 @@ from .lattice import FGAbelian, IntMatrix, LatticeSubgroup, finite_index_split, 
 from .words import (
     AbelianToFiniteHom,
     AmalgamSpec,
-    InducedHom,
     build_generalized_central_product,
+    central_product_error,
     identified_direct_quotient,
     induce_hom,
     reduce,
@@ -61,7 +70,14 @@ from .words import (
     word_label,
 )
 
-ENGINE_ORDER = ("double", "central", "cyclic", "abelian-factor", "oracle")
+
+@dataclass
+class _Parts(Certificate):
+    """The certificate an engine returns: it also holds the quotient it built
+    and the map into it (for abelian_factor_quotient, the map from A)."""
+
+    target: FiniteGroup = field(default=None, compare=False, repr=False)
+    hom: object = field(default=None, compare=False, repr=False)
 
 
 def derived_depth(G: FiniteGroup, g: int) -> int:
@@ -198,29 +214,31 @@ def not_perfect_certificate(
 # ---------------------------------------------- cyclic identification
 
 
-@dataclass
-class _EngineParts:
-    certificate: Certificate
-    target: FiniteGroup
-    hom: InducedHom
-
-
-def _cyclic_parts(
-    A: FiniteGroup, B: FiniteGroup, a: int, b: int, max_order: int
-) -> _EngineParts:
+def _cyclic_error(A: FiniteGroup, B: FiniteGroup, a: int, b: int):
+    """Why a and b cannot be identified by the cyclic engine, or None."""
     if a == A.identity or b == B.identity:
-        raise IdentityElement("amalgam generators must be nonidentity")
+        return IdentityElement("amalgam generators must be nonidentity")
     k = A.element_order(a)
     if k != B.element_order(b):
-        raise OrderMismatch(
+        return OrderMismatch(
             f"generator orders {k} and {B.element_order(b)} differ",
             left=k,
             right=B.element_order(b),
         )
     if not is_solvable(A):
-        raise NotSolvable("left factor is not solvable")
+        return NotSolvable("left factor is not solvable")
     if not is_solvable(B):
-        raise NotSolvable("right factor is not solvable")
+        return NotSolvable("right factor is not solvable")
+    return None
+
+
+def cyclic_amalgam_quotient(
+    A: FiniteGroup, B: FiniteGroup, a: int, b: int, max_order: int = DEFAULT_MAX_ORDER
+) -> Certificate:
+    """Identify the images of a and b across the two depth-truncated factors."""
+    if error := _cyclic_error(A, B, a, b):
+        raise error
+    k = A.element_order(a)
     m = derived_depth(A, a)
     n = derived_depth(B, b)
     Abar, proj_a = quotient_group(A, series(A, "derived").terms[m])
@@ -247,7 +265,7 @@ def _cyclic_parts(
         if separates
         else f"power {dying[0]} of the amalgam generator maps to the identity"
     )
-    cert = Certificate(
+    return _Parts(
         kind="cyclic_amalgam",
         quotient_description={
             "order": D.order,
@@ -273,23 +291,22 @@ def _cyclic_parts(
             "the kernel meets the amalgam trivially only when separates_C holds",
             "the kernel is a free group (classical subgroup theory, not machine-verified)",
         ],
+        target=D,
+        hom=hom,
     )
-    return _EngineParts(cert, D, hom)
-
-
-def cyclic_amalgam_quotient(
-    A: FiniteGroup, B: FiniteGroup, a: int, b: int, max_order: int = DEFAULT_MAX_ORDER
-) -> Certificate:
-    """Identify the images of a and b across the two depth-truncated factors."""
-    return _cyclic_parts(A, B, a, b, max_order).certificate
 
 
 # ------------------------------------------------ central identification
 
 
-def _central_parts(factors, C, embeddings, max_order: int) -> _EngineParts:
+def central_amalgam_quotient(
+    factors, C: FiniteGroup, embeddings, max_order: int = DEFAULT_MAX_ORDER
+) -> Certificate:
+    """Collapse the product of the factors along their shared central subgroup."""
+    factors = list(factors)
+    embeddings = list(embeddings)
     S, mus = build_generalized_central_product(factors, C, embeddings, max_order)
-    spec = validate_spec(AmalgamSpec(list(factors), C, list(embeddings))) if len(factors) > 1 else None
+    spec = validate_spec(AmalgamSpec(factors, C, embeddings)) if len(factors) > 1 else None
     hom = induce_hom(spec, S, mus) if spec is not None else None
 
     inj_evidence = []
@@ -323,7 +340,7 @@ def _central_parts(factors, C, embeddings, max_order: int) -> _EngineParts:
             f"|S| = {S.order}, factor orders give {expected}",
         ),
     ]
-    cert = Certificate(
+    return _Parts(
         kind="central_amalgam",
         quotient_description={
             "order": S.order,
@@ -337,21 +354,16 @@ def _central_parts(factors, C, embeddings, max_order: int) -> _EngineParts:
         claims=[
             "the kernel of the induced map is free, making the amalgam (solvable)-by-free (not machine-verified)"
         ],
+        target=S,
+        hom=hom,
     )
-    return _EngineParts(cert, S, hom)
-
-
-def central_amalgam_quotient(
-    factors, C: FiniteGroup, embeddings, max_order: int = DEFAULT_MAX_ORDER
-) -> Certificate:
-    """Collapse the product of the factors along their shared central subgroup."""
-    return _central_parts(list(factors), C, list(embeddings), max_order).certificate
 
 
 # ------------------------------------------------------- double retraction
 
 
-def _double_parts(factors, isos, C_sub: Subgroup) -> _EngineParts:
+def double_retraction(factors, isos, C_sub: Subgroup) -> Certificate:
+    """Collapse isomorphic copies glued along a common subgroup onto copy 0."""
     factors = list(factors)
     isos = list(isos)
     if len(factors) < 2:
@@ -393,7 +405,7 @@ def _double_parts(factors, isos, C_sub: Subgroup) -> _EngineParts:
             if reduce(spec, w).length > 0:
                 nontrivial_kernel_words += 1
     solvable = is_solvable(A0)
-    cert = Certificate(
+    return _Parts(
         kind="double",
         quotient_description={
             "order": A0.order,
@@ -421,24 +433,12 @@ def _double_parts(factors, isos, C_sub: Subgroup) -> _EngineParts:
         claims=[
             "the kernel is the normal closure of the words x * iso_i(x)^-1 (not machine-verified)"
         ],
+        target=A0,
+        hom=psi,
     )
-    return _EngineParts(cert, A0, psi)
-
-
-def double_retraction(factors, isos, C_sub: Subgroup) -> Certificate:
-    """Collapse isomorphic copies glued along a common subgroup onto copy 0."""
-    return _double_parts(factors, isos, C_sub).certificate
 
 
 # -------------------------------------------------- lattice factor quotient
-
-
-@dataclass
-class _AbelianParts:
-    certificate: Certificate
-    target: FiniteGroup
-    split: object
-    basis_images: list
 
 
 def _quotient_of_lattice(split) -> FiniteGroup:
@@ -452,11 +452,18 @@ def _quotient_of_lattice(split) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"lattice-quotient-{n}")
 
 
-def _abelian_parts(A: FGAbelian, C) -> _AbelianParts:
+def _torsion_error(A):
     if not isinstance(A, FGAbelian):
-        raise NotTorsionFree("the split factor must be a finitely generated abelian group")
+        return NotTorsionFree("the split factor must be a finitely generated abelian group")
     if A.torsion:
-        raise NotTorsionFree("the split factor must be torsion-free")
+        return NotTorsionFree("the split factor must be torsion-free")
+    return None
+
+
+def abelian_factor_quotient(A: FGAbelian, C) -> Certificate:
+    """Finite quotient of the lattice factor that kills the amalgam."""
+    if error := _torsion_error(A):
+        raise error
     if isinstance(C, FGAbelian):
         raise EmbeddingTypeMismatch(
             "pass the amalgam as a sublattice (its embedded image), not a bare group"
@@ -489,7 +496,7 @@ def _abelian_parts(A: FGAbelian, C) -> _AbelianParts:
     ]
     if split.index == 1:
         claims.insert(0, "vacuous quotient")
-    cert = Certificate(
+    return _Parts(
         kind="abelian_factor",
         quotient_description={
             "order": split.index,
@@ -510,35 +517,146 @@ def _abelian_parts(A: FGAbelian, C) -> _AbelianParts:
             Check("epimorphism", gen_ok, "basis images generate the quotient"),
         ],
         claims=claims,
+        target=Q,
+        hom=AbelianToFiniteHom(A, Q, basis_images),
     )
-    return _AbelianParts(cert, Q, split, basis_images)
 
 
-def abelian_factor_quotient(A: FGAbelian, C, B=None) -> Certificate:
-    """Finite quotient of the lattice factor that kills the amalgam (and B)."""
-    return _abelian_parts(A, C).certificate
+# ----------------------------------------------------------- engine table
+#
+# check(spec, limits) returns the error that rules an engine out for the
+# amalgam, or None: certify raises it, separate_element skips the engine
+# without a note. build(spec, limits) runs the engine on an amalgam its check
+# passed. limits holds max_order, frattini_cap (read by not-perfect only) and
+# factor, the lattice factor that abelian-factor quotients.
+
+
+def _finite_check(spec, limits=None):
+    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
+        return EmbeddingTypeMismatch("this theorem needs finite factors")
+    if not isinstance(spec.amalgam, FiniteGroup):
+        return EmbeddingTypeMismatch("this theorem needs a finite amalgam group")
+    return None
+
+
+def _pair_check(spec, limits=None):
+    if len(spec.factors) != 2:
+        return IncompatibleAmalgam(
+            f"this theorem needs exactly 2 factors, got {len(spec.factors)}"
+        )
+    return _finite_check(spec)
+
+
+def _not_perfect_build(spec, limits):
+    (A, B), (e1, e2) = spec.factors, spec.embeddings
+    C_A = subgroup(A, e1.images)
+    C_B = subgroup(B, e2.images)
+    iso = {e1.apply(c): e2.apply(c) for c in spec.amalgam.elements()}
+    return not_perfect_certificate(A, B, C_A, C_B, iso, frattini_cap=limits["frattini_cap"])
+
+
+def _cyclic_generators(spec):
+    """The images (a, b) of a generator of the amalgam, or None if it is not cyclic."""
+    C = spec.amalgam
+    gen = next((c for c in C.elements() if C.element_order(c) == C.order), None)
+    if gen is None:
+        return None
+    return spec.embeddings[0].apply(gen), spec.embeddings[1].apply(gen)
+
+
+def _cyclic_check(spec, limits):
+    if error := _pair_check(spec):
+        return error
+    pair = _cyclic_generators(spec)
+    if pair is None:
+        return InvalidGroup(f"the amalgam group of order {spec.amalgam.order} is not cyclic")
+    return _cyclic_error(*spec.factors, *pair)
+
+
+def _cyclic_build(spec, limits):
+    return cyclic_amalgam_quotient(*spec.factors, *_cyclic_generators(spec), limits["max_order"])
+
+
+def _central_check(spec, limits):
+    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
+        return EmbeddingTypeMismatch("this theorem needs finite factors")
+    return central_product_error(spec.factors, spec.amalgam, spec.embeddings)
+
+
+def _central_build(spec, limits):
+    return central_amalgam_quotient(
+        spec.factors, spec.amalgam, spec.embeddings, limits["max_order"]
+    )
+
+
+def _double_check(spec, limits):
+    if error := _finite_check(spec):
+        return error
+    first, images = spec.factors[0], spec.embeddings[0].images
+    if any(f != first or e.images != images for f, e in zip(spec.factors, spec.embeddings)):
+        return IncompatibleAmalgam(
+            "the double theorem needs literal factor copies with identical "
+            "amalgam embeddings; these factors differ"
+        )
+    return None
+
+
+def _double_build(spec, limits):
+    first = spec.factors[0]
+    C_sub = subgroup(first, spec.embeddings[0].images)
+    return double_retraction(spec.factors, [identity_hom(first)] * len(spec.factors), C_sub)
+
+
+def _abelian_check(spec, limits):
+    i = limits["factor"]
+    A, e = spec.factors[i], spec.embeddings[i]
+    if not isinstance(A, FGAbelian) or not isinstance(e, (IntMatrix, type(None))):
+        return EmbeddingTypeMismatch(f"factor {i} is not a lattice with a matrix embedding")
+    return _torsion_error(A)
+
+
+def _abelian_build(spec, limits):
+    """The lattice factor's quotient, with the other factors mapped trivially."""
+    i = limits["factor"]
+    A, e = spec.factors[i], spec.embeddings[i]
+    cert = abelian_factor_quotient(A, e if e is not None else [])
+    Q = cert.target
+    maps = []
+    for j, g in enumerate(spec.factors):
+        if j == i:
+            maps.append(cert.hom)
+        elif isinstance(g, FiniteGroup):
+            maps.append(GroupHom(g, Q, (Q.identity,) * g.order))
+        else:
+            maps.append(AbelianToFiniteHom(g, Q, (Q.identity,) * g.ngens))
+    return replace(cert, hom=induce_hom(spec, Q, maps))
+
+
+# name -> (check, build, note), in witness dispatch order; note is the reason
+# recorded when the word dies in the engine's quotient. The oracle has no
+# build: its catalog search needs the word, so separate_element runs it.
+# not-perfect is for certify only.
+ENGINES = {
+    "double": (
+        _double_check, _double_build, "double: word maps to the identity under the retraction"
+    ),
+    "central": (
+        _central_check, _central_build, "central: word maps to the identity in the central product"
+    ),
+    "cyclic": (
+        _cyclic_check, _cyclic_build, "cyclic: word maps to the identity in the depth quotient"
+    ),
+    "abelian-factor": (
+        _abelian_check, _abelian_build, "abelian-factor (factor {factor}): not separated at level 1"
+    ),
+    "oracle": (_finite_check, None, None),
+    "not-perfect": (_pair_check, _not_perfect_build, None),
+}
+ENGINE_ORDER = tuple(name for name in ENGINES if name != "not-perfect")
+THEOREMS = tuple(sorted(name for name, (_, build, _) in ENGINES.items() if build))
 
 
 # ---------------------------------------------------------------- dispatcher
-
-
-def _witness(engine, cert, target, word, label, image):
-    dl = derived_length(target)
-    return WitnessResult(
-        word=list(word),
-        word_label=label,
-        engine=engine,
-        target_description={
-            "order": target.order,
-            "name": target.name,
-            "derived_length": dl,
-        },
-        hom_data=cert.hom_data,
-        image=image,
-        image_label=target.label(image),
-        target_derived_length=dl,
-        certificate=cert,
-    )
 
 
 def separate_element(
@@ -553,117 +671,57 @@ def separate_element(
     """First engine whose solvable quotient keeps the word alive.
 
     Engines run in the fixed order double, central, cyclic, abelian-factor,
-    then the oracle's catalog search. Returns a WitnessResult, or
-    NotSeparatedAtLevelOne carrying every attempted certificate.
+    then the oracle's catalog search; abelian-factor runs once per lattice
+    factor. Returns a WitnessResult, or NotSeparatedAtLevelOne carrying every
+    certificate built and a reason with one note per engine that ran,
+    including each engine stopped by max_order, budget or the generator cap.
     """
     unknown = [e for e in engines if e not in ENGINE_ORDER]
     if unknown:
         raise ValueError(f"unknown engines: {unknown}")
     validate_spec(spec)
-    nf = reduce(spec, w)
-    if nf.is_identity():
+    if reduce(spec, w).is_identity():
         raise IdentityWord("the word reduces to the identity")
     label = word_label(spec, w)
+    limits = {"max_order": max_order}
     attempts = []
     notes = []
-    factors = spec.factors
-    C = spec.amalgam
-    all_finite = all(isinstance(f, FiniteGroup) for f in factors)
-    finite_c = isinstance(C, FiniteGroup)
-
-    if "double" in engines and all_finite and finite_c:
-        tables_match = all(f == factors[0] for f in factors[1:])
-        images_match = all(
-            e.images == spec.embeddings[0].images for e in spec.embeddings[1:]
-        )
-        if tables_match and images_match:
-            C_sub = subgroup(factors[0], spec.embeddings[0].images)
-            isos = [identity_hom(factors[0]) for _ in factors]
-            parts = _double_parts(factors, isos, C_sub)
-            image = parts.hom.apply_word(w)
-            if image != parts.target.identity and is_solvable(parts.target):
-                return _witness("double", parts.certificate, parts.target, w, label, image)
-            attempts.append(parts.certificate)
-            notes.append("double: word maps to the identity under the retraction")
-
-    if "central" in engines and all_finite and finite_c:
-        central_ok = all(
-            set(e.images) <= set(center(f).elements)
-            for f, e in zip(factors, spec.embeddings)
-        )
-        if central_ok:
-            parts = _central_parts(factors, C, spec.embeddings, max_order)
-            image = parts.hom.apply_word(w)
-            if image != parts.target.identity and is_solvable(parts.target):
-                return _witness(
-                    "central_amalgam", parts.certificate, parts.target, w, label, image
-                )
-            attempts.append(parts.certificate)
-            notes.append("central: word maps to the identity in the central product")
-
-    if "cyclic" in engines and all_finite and finite_c and len(factors) == 2:
-        gen = next(
-            (c for c in C.elements() if C.element_order(c) == C.order), None
-        )
-        applicable = (
-            gen is not None
-            and C.order > 1
-            and is_solvable(factors[0])
-            and is_solvable(factors[1])
-        )
-        if applicable:
-            a = spec.embeddings[0].apply(gen)
-            b = spec.embeddings[1].apply(gen)
-            parts = _cyclic_parts(factors[0], factors[1], a, b, max_order)
-            image = parts.hom.apply_word(w)
-            if image != parts.target.identity and is_solvable(parts.target):
-                return _witness(
-                    "cyclic_amalgam", parts.certificate, parts.target, w, label, image
-                )
-            attempts.append(parts.certificate)
-            notes.append("cyclic: word maps to the identity in the depth quotient")
-
-    if "abelian-factor" in engines and not finite_c:
-        for ai, f in enumerate(factors):
-            if not isinstance(f, FGAbelian) or f.torsion:
+    for name in ENGINE_ORDER:
+        if name not in engines:
+            continue
+        check, build, note = ENGINES[name]
+        sites = range(len(spec.factors)) if name == "abelian-factor" else [0]
+        for factor in sites:
+            limits["factor"] = factor
+            if check(spec, limits) is not None:
                 continue
-            e = spec.embeddings[ai]
-            cols = [e.column(j) for j in range(e.cols)] if e is not None else []
-            parts = _abelian_parts(f, LatticeSubgroup.from_vectors(f.ngens, cols))
-            Q = parts.target
-            maps = []
-            for bi, g in enumerate(factors):
-                if bi == ai:
-                    maps.append(AbelianToFiniteHom(g, Q, parts.basis_images))
-                elif isinstance(g, FiniteGroup):
-                    maps.append(GroupHom(g, Q, tuple([Q.identity] * g.order)))
-                else:
-                    maps.append(AbelianToFiniteHom(g, Q, (Q.identity,) * g.ngens))
-            hom = induce_hom(spec, Q, maps)
-            image = hom.apply_word(w)
-            if image != Q.identity:
-                return _witness("abelian_factor", parts.certificate, Q, w, label, image)
-            attempts.append(parts.certificate)
-            notes.append(
-                f"abelian-factor (factor {ai}): not separated at level 1"
-            )
-
-    if "oracle" in engines and all_finite and finite_c:
-        pres = oracle_mod.presentation_of_amalgam(spec)
-        gw = oracle_mod.amalgam_word_to_generators(pres, w)
-        hit = oracle_mod.hom_search(
-            pres,
-            oracle_mod.solvable_catalog(catalog_max),
-            gw,
-            budget,
-            word=w,
-            word_label=label,
-        )
-        if isinstance(hit, WitnessResult):
-            return hit
-        notes.append(
-            f"oracle: exhausted {hit.nodes} nodes over {hit.targets_tried} targets"
-        )
+            try:
+                if build is None:
+                    pres = oracle_mod.presentation_of_amalgam(spec)
+                    hit = oracle_mod.hom_search(
+                        pres,
+                        oracle_mod.solvable_catalog(catalog_max),
+                        oracle_mod.amalgam_word_to_generators(pres, w),
+                        budget,
+                        word=w,
+                        word_label=label,
+                    )
+                    if isinstance(hit, WitnessResult):
+                        return hit
+                    notes.append(
+                        f"oracle: exhausted {hit.nodes} nodes over {hit.targets_tried} targets"
+                    )
+                    continue
+                cert = build(spec, limits)
+            except (BudgetExceeded, ClosureCapExceeded, TooManyGenerators) as exc:
+                # a resource limit stops this engine, not the whole dispatch
+                notes.append(f"{name}: {exc.code}: {exc.message}")
+                continue
+            image = cert.hom.apply_word(w)
+            if image != cert.target.identity and is_solvable(cert.target):
+                return witness_result(cert, cert.target, w, label, image)
+            attempts.append(cert)
+            notes.append(note.format(factor=factor))
 
     return NotSeparatedAtLevelOne(
         word=list(w),

@@ -29,7 +29,6 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupHom,
-    Subgroup,
     center,
     direct_product,
     normal_closure,
@@ -110,10 +109,6 @@ class _FiniteAdapter:
     def embed_c(self, c):
         return self._embed_image(c)
 
-    def in_amalgam(self, x):
-        """Preimage in C if x lies in the embedded copy, else None."""
-        return self._preimage.get(x)
-
     def decompose(self, x):
         """x = embed(c) * t with t the chosen representative of its coset."""
         t = self.rep_of[x]
@@ -177,10 +172,6 @@ class _AbelianAdapter:
 
     def embed_c(self, c):
         return self.group.canon(self.embed.matvec(c))
-
-    def in_amalgam(self, x):
-        c, t = self.decompose(x)
-        return c if self.is_identity(t) else None
 
     def decompose(self, x):
         x = self.group.canon(x)
@@ -474,7 +465,7 @@ class InducedHom:
         if isinstance(C, FiniteGroup):
             for c in C.elements():
                 imgs = {
-                    self._apply_factor(i, spec.adapter(i).embed_c(c))
+                    self.maps[i].apply(spec.adapter(i).embed_c(c))
                     for i in range(len(spec.factors))
                 }
                 if len(imgs) != 1:
@@ -486,7 +477,7 @@ class InducedHom:
             for j in range(k):
                 basis = tuple(1 if t == j else 0 for t in range(k))
                 imgs = {
-                    self._apply_factor(i, spec.adapter(i).embed_c(basis))
+                    self.maps[i].apply(spec.adapter(i).embed_c(basis))
                     for i in range(len(spec.factors))
                 }
                 if len(imgs) != 1:
@@ -494,16 +485,10 @@ class InducedHom:
                         f"factor maps disagree on amalgam basis vector {j}"
                     )
 
-    def _apply_factor(self, i: int, x) -> int:
-        m = self.maps[i]
-        if isinstance(m, GroupHom):
-            return m.apply(x)
-        return m.apply(x)
-
     def apply_word(self, word) -> int:
         out = self.target.identity
         for i, x in check_word(self.spec, word):
-            out = self.target.mul(out, self._apply_factor(i, x))
+            out = self.target.mul(out, self.maps[i].apply(x))
         return out
 
     def apply_nf(self, nf: NormalForm) -> int:
@@ -550,6 +535,33 @@ def induce_hom(spec: AmalgamSpec, target: FiniteGroup, maps) -> InducedHom:
     return InducedHom(spec, target, maps)
 
 
+def central_product_error(factors, C, embeddings):
+    """Why the factors have no central product over C, or None.
+
+    Each embedding must be an injective homomorphism from C into the
+    center of its factor.
+    """
+    if not factors or len(factors) != len(embeddings):
+        return IncompatibleAmalgam(
+            f"{len(embeddings)} embeddings for {len(factors)} factors"
+        )
+    for i, (f, e) in enumerate(zip(factors, embeddings)):
+        if not isinstance(e, GroupHom) or e.source != C or e.target != f:
+            return IncompatibleAmalgam(
+                f"embedding {i} must map the amalgam into factor {i}", factor=i
+            )
+        if not e.is_injective():
+            return NotInjective(f"embedding {i} is not injective", factor=i)
+        central = set(center(f).elements)
+        bad = [c for c in C.elements() if e.apply(c) not in central]
+        if bad:
+            return NotCentral(
+                f"image of amalgam element {C.label(bad[0])} is not central in factor {i}",
+                factor=i,
+            )
+    return None
+
+
 def build_generalized_central_product(
     factors, C: FiniteGroup, embeddings, max_order: int = DEFAULT_MAX_ORDER
 ) -> tuple[FiniteGroup, list[GroupHom]]:
@@ -560,24 +572,8 @@ def build_generalized_central_product(
     """
     factors = list(factors)
     embeddings = list(embeddings)
-    if not factors or len(factors) != len(embeddings):
-        raise IncompatibleAmalgam(
-            f"{len(embeddings)} embeddings for {len(factors)} factors"
-        )
-    for i, (f, e) in enumerate(zip(factors, embeddings)):
-        if not isinstance(e, GroupHom) or e.source != C or e.target != f:
-            raise IncompatibleAmalgam(
-                f"embedding {i} must map the amalgam into factor {i}", factor=i
-            )
-        if not e.is_injective():
-            raise NotInjective(f"embedding {i} is not injective", factor=i)
-        central = set(center(f).elements)
-        bad = [c for c in C.elements() if e.apply(c) not in central]
-        if bad:
-            raise NotCentral(
-                f"image of amalgam element {C.label(bad[0])} is not central in factor {i}",
-                factor=i,
-            )
+    if error := central_product_error(factors, C, embeddings):
+        raise error
     P, injs, _ = direct_product(factors, max_order)
     seeds = []
     for c in C.elements():

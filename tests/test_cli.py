@@ -109,15 +109,6 @@ def test_unknown_group_name():
     assert "zz" in msg
 
 
-def test_bad_transversal_choice():
-    code, out, err = _run(
-        ["normal-form", "--spec", "{G}/s3_pair.amg", "--word", "t",
-         "--transversal", "random"]
-    )
-    assert code == 1
-    assert "min-index" in json.loads(err)["error"]["message"]
-
-
 def test_bad_command():
     code, out, err = _run(["explode"])
     assert code == 1
@@ -141,11 +132,11 @@ def test_missing_spec_file_is_structured_error():
 
 
 def test_factor_flag_out_of_range():
-    code, out, err = _run(
+    msg = _usage(
         ["certify", "--spec", "{G}/lattice.amg", "--theorem", "abelian-factor",
          "--factor", "5"]
     )
-    assert code == 1
+    assert msg == "--factor 5 out of range"
 
 
 def test_no_numeric_period_anywhere_in_golden_output():
@@ -241,53 +232,119 @@ FINITE_FACTORS = ("embedding-type-mismatch", "this theorem needs finite factors"
 NOT_LATTICE_0 = ("embedding-type-mismatch", "factor 0 is not a lattice with a matrix embedding")
 
 CERTIFY_ERRORS = [
-    ("not-perfect", "{G}/q8_triple.amg", [],
+    ("not-perfect", "{G}/q8_triple.amg",
      ("incompatible-amalgam", "this theorem needs exactly 2 factors, got 3")),
-    ("not-perfect", "{G}/lattice.amg", [], FINITE_FACTORS),
-    ("not-perfect", "finite_over_rank0", [],
+    ("not-perfect", "{G}/lattice.amg", FINITE_FACTORS),
+    ("not-perfect", "finite_over_rank0",
      ("embedding-type-mismatch", "this theorem needs a finite amalgam group")),
-    ("not-perfect", "c3_whole", [],
+    ("not-perfect", "c3_whole",
      ("not-proper-subgroup", "the amalgam copy in the first factor is not proper")),
-    ("cyclic", "{G}/q8_triple.amg", [],
+    ("cyclic", "{G}/q8_triple.amg",
      ("incompatible-amalgam", "this theorem needs exactly 2 factors, got 3")),
-    ("cyclic", "{G}/lattice.amg", [], FINITE_FACTORS),
-    ("cyclic", "finite_over_rank0", [],
+    ("cyclic", "{G}/lattice.amg", FINITE_FACTORS),
+    ("cyclic", "finite_over_rank0",
      ("embedding-type-mismatch", "this theorem needs a finite amalgam group")),
-    ("cyclic", "klein_pair", [],
+    ("cyclic", "klein_pair",
      ("invalid-group", "the amalgam group of order 4 is not cyclic")),
-    ("cyclic", "s5_pair", [], ("not-solvable", "left factor is not solvable")),
-    ("central", "{G}/lattice.amg", [], FINITE_FACTORS),
-    ("central", "{G}/s3_pair.amg", [],
+    ("cyclic", "s5_pair", ("not-solvable", "left factor is not solvable")),
+    ("central", "{G}/lattice.amg", FINITE_FACTORS),
+    ("central", "{G}/s3_pair.amg",
      ("not-central", "image of amalgam element g is not central in factor 0")),
-    ("central", "{G}/q8_s3.amg", [],
+    ("central", "{G}/q8_s3.amg",
      ("not-central", "image of amalgam element g is not central in factor 1")),
-    ("central", "finite_over_rank0", [],
+    ("central", "finite_over_rank0",
      ("incompatible-amalgam", "embedding 0 must map the amalgam into factor 0")),
-    ("double", "{G}/lattice.amg", [], FINITE_FACTORS),
-    ("double", "{G}/d4_q8.amg", [],
+    ("double", "{G}/lattice.amg", FINITE_FACTORS),
+    ("double", "finite_over_rank0",
+     ("embedding-type-mismatch", "this theorem needs a finite amalgam group")),
+    ("double", "{G}/d4_q8.amg",
      ("incompatible-amalgam",
       "the double theorem needs literal factor copies with identical amalgam "
       "embeddings; these factors differ")),
-    ("abelian-factor", "{G}/s3_pair.amg", [], NOT_LATTICE_0),
-    ("abelian-factor", "mixed_over_rank0", [], NOT_LATTICE_0),
-    ("abelian-factor", "{G}/lattice.amg", ["--factor", "2"],
-     ("usage-error", "--factor 2 out of range")),
-    ("abelian-factor", "torsion_lattice", [],
+    ("abelian-factor", "{G}/s3_pair.amg", NOT_LATTICE_0),
+    ("abelian-factor", "mixed_over_rank0", NOT_LATTICE_0),
+    ("abelian-factor", "torsion_lattice",
      ("not-torsion-free", "the split factor must be torsion-free")),
 ]
 
 
 @pytest.mark.parametrize(
-    "theorem,spec,extra,expected",
+    "theorem,spec,expected",
     CERTIFY_ERRORS,
-    ids=[f"{t}-{pathlib.Path(s).stem}{''.join(x)}" for t, s, x, _ in CERTIFY_ERRORS],
+    ids=[f"{t}-{pathlib.Path(s).stem}" for t, s, _ in CERTIFY_ERRORS],
 )
-def test_certify_error_on_wrong_shape(tmp_path, theorem, spec, extra, expected):
+def test_certify_error_on_wrong_shape(tmp_path, theorem, spec, expected):
     if spec in WRONG_SHAPE_SPECS:
         path = tmp_path / f"{spec}.amg"
         path.write_text(WRONG_SHAPE_SPECS[spec])
         spec = str(path)
-    code, out, err = _run(["certify", "--spec", spec, "--theorem", theorem, *extra])
+    code, out, err = _run(["certify", "--spec", spec, "--theorem", theorem])
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert (error["code"], error["message"]) == expected
+
+
+# ------------------------------------------------------ witness engine limits
+
+
+@pytest.mark.parametrize("engines", ["sieve", "oracle,", ""])
+def test_witness_rejects_bad_engine_list(engines):
+    msg = _usage(["witness", "--spec", "{G}/s3_pair.amg", "--word", "quad",
+                  "--engines", engines])
+    assert repr(engines) in msg
+
+
+def _spec_with_word(tmp_path, golden, word):
+    path = tmp_path / golden
+    path.write_text((GOLDEN / golden).read_text() + word + "\n")
+    return str(path)
+
+
+def test_order_cap_stops_central_engine_and_oracle_separates(tmp_path):
+    # the retraction kills the word; the central product has order 512 > 100
+    spec = _spec_with_word(
+        tmp_path, "q8_triple.amg", "word k in T = 0:(1 3 2 4)(5 7 6 8) * 1:(1 4 2 3)(5 8 6 7)"
+    )
+    code, out, err = _run(["witness", "--spec", spec, "--word", "k", "--max-order", "100"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["engine"] == "oracle_witness"
+    assert doc["certificate"]["status"] == "ok"
+
+    code, out, err = _run(["witness", "--spec", spec, "--word", "k", "--max-order", "100",
+                           "--engines", "double,central"])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["reason"] == (
+        "double: word maps to the identity under the retraction; "
+        "central: closure-cap-exceeded: product order 512 exceeds cap 100"
+    )
+
+
+def test_budget_stops_oracle_without_an_error():
+    code, out, err = _run(["witness", "--spec", "{G}/s3_pair.amg", "--word", "quad",
+                           "--engines", "oracle", "--budget", "10"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["separated"] is False
+    assert doc["reason"] == "oracle: budget-exceeded: search stopped after 10 assignment nodes"
+
+
+def test_generator_cap_keeps_earlier_attempts(tmp_path):
+    path = tmp_path / "s4xc2.amg"
+    path.write_text(
+        "group G = perm 6 { (1 2); (1 2 3 4); (5 6) }\n"
+        "group C4 = cyclic 4\n"
+        "embed ea : C4 -> G { g -> (1 2 3 4) }\n"
+        "embed eb : C4 -> G { g -> (1 2 3 4) }\n"
+        "amalgam P = G, G over C4 via ea, eb\n"
+        "word w in P = 0:(1 2) * 1:(1 2)\n"
+    )
+    code, out, err = _run(["witness", "--spec", str(path), "--word", "w"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["reason"] == (
+        "double: word maps to the identity under the retraction; "
+        "cyclic: word maps to the identity in the depth quotient; "
+        "oracle: too-many-generators: 94 generators exceed the cap 64"
+    )
+    assert [c["kind"] for c in doc["certificates"]] == ["double", "cyclic_amalgam"]
