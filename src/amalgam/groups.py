@@ -101,6 +101,7 @@ class FiniteGroup:
                 raise InvalidGroup(f"{len(labels)} labels for {n} elements")
         self.labels = labels
         self.name = name
+        self._series = {}  # kind -> SeriesChain, filled by series()
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -304,10 +305,13 @@ def series(G: FiniteGroup, kind: str = "derived") -> SeriesChain:
     """Derived or lower-central series, strictly descending until stable.
 
     A nontrivial stable term is repeated once to witness stabilization; the
-    trivial term never is.
+    trivial term never is. The table is read-only, so each chain is computed
+    once per group object and kind, and later calls return the same chain.
     """
     if kind not in ("derived", "lower-central"):
         raise InvalidGroup(f"unknown series kind {kind!r}")
+    if kind in G._series:
+        return G._series[kind]
     top = whole_group(G)
     terms = [top]
     while True:
@@ -323,7 +327,8 @@ def series(G: FiniteGroup, kind: str = "derived") -> SeriesChain:
         terms.append(nxt)
         if nxt.is_trivial():
             break
-    return SeriesChain(kind=kind, terms=tuple(terms))
+    G._series[kind] = SeriesChain(kind=kind, terms=tuple(terms))
+    return G._series[kind]
 
 
 def is_solvable(G: FiniteGroup) -> bool:
@@ -509,34 +514,39 @@ def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, GroupHo
 
 
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """G/N with the canonical projection. N must be normal."""
+    """G/N with the canonical projection. N must be normal.
+
+    Normality is tested by conjugating N by G.small_generators against a
+    membership mask. For a finite set N, gNg^-1 within N for every generator
+    g already gives equality, hence closure under the group they generate,
+    so this agrees with Subgroup.is_normal. The coset xN is represented by
+    its least element, the minimum of x*n over n in N, and numbered by the
+    rank of that representative; the table of G/N numbers the products of
+    the representatives.
+    """
     if N.parent is not G and N.parent != G:
         raise InvalidGroup("subgroup belongs to a different group")
-    if not N.is_normal():
-        raise NotNormal(f"subgroup of order {N.order} is not normal")
-    rep_of = [-1] * G.order
-    for x in G.elements():
-        if rep_of[x] != -1:
-            continue
-        coset = sorted(G.mul(x, n) for n in N.elements)
-        for y in coset:
-            rep_of[y] = coset[0]
-    reps = sorted(set(rep_of))
-    idx = {r: i for i, r in enumerate(reps)}
-    table = [
-        [idx[rep_of[G.mul(a, b)]] for b in reps] for a in reps
-    ]
-    gen_imgs = sorted(
-        {idx[rep_of[g]] for g in G.generator_indices} - {0}
-    )
-    labels = tuple(f"[{G.label(r)}]" for r in reps)
+    t = G.table
+    members = np.zeros(G.order, dtype=bool)
+    elems = np.array(N.elements, dtype=np.int64)
+    members[elems] = True
+    for g in G.small_generators:
+        if not members[t[t[g, elems], G.inverses[g]]].all():
+            raise NotNormal(f"subgroup of order {N.order} is not normal")
+    rep_of = t[:, elems[0]]
+    for n in elems[1:]:
+        rep_of = np.minimum(rep_of, t[:, n])
+    is_rep = rep_of == np.arange(G.order)
+    reps = np.flatnonzero(is_rep)
+    label = (np.cumsum(is_rep) - 1)[rep_of]
+    gen_imgs = sorted({int(label[g]) for g in G.generator_indices} - {0})
     Q = FiniteGroup(
-        table,
+        label[t[np.ix_(reps, reps)]],
         generator_indices=tuple(gen_imgs) if len(reps) > 1 else (),
-        labels=labels,
+        labels=tuple(f"[{G.label(r)}]" for r in reps.tolist()),
         name=f"{G.name or G.order}/{N.order}",
     )
-    proj = GroupHom(G, Q, tuple(idx[rep_of[x]] for x in G.elements()))
+    proj = GroupHom(G, Q, tuple(label.tolist()))
     return Q, proj
 
 

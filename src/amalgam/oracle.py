@@ -335,6 +335,21 @@ def _eval_letters(target: FiniteGroup, images, letters) -> int:
     return out
 
 
+def _compile_relator(rel) -> tuple | None:
+    """rel = 1 as (a, b, c), meaning images[a] * images[b] == images[c].
+
+    Slot 0 of the image list always holds the identity, so a*b = 1 becomes
+    (a, b, 0) and a*b^-1 = 1, that is a = b, becomes (a, 0, b). Any other
+    shape gives None and is evaluated letter by letter.
+    """
+    if len(rel) == 2 and rel[0] > 0:
+        a, b = rel
+        return (a, b, 0) if b > 0 else (a, 0, -b)
+    if len(rel) == 3 and rel[0] > 0 and rel[1] > 0 and rel[2] < 0:
+        return (rel[0], rel[1], -rel[2])
+    return None
+
+
 def hom_search(
     P: Presentation,
     catalog: SolvableCatalog,
@@ -346,9 +361,21 @@ def hom_search(
 ):
     """First homomorphism (deterministic order) separating w, or Exhausted.
 
-    Depth-first over generator images per catalog group, pruning on element
-    orders, on fully assigned relators, and on w itself once its letters are
-    assigned. Raises BudgetExceeded when the node budget is hit.
+    Depth-first over generator images per catalog group: generator k takes
+    in turn each target element whose order divides k's order (every
+    element where the relators leave that order open), and the search
+    backtracks as soon as a relator whose highest generator is k fails, or,
+    once every letter of w is assigned, w maps to the identity. Each
+    candidate tried is one node; BudgetExceeded is raised at node
+    budget + 1.
+
+    The checks are compiled once per target against its table as nested
+    lists: a relator a*b = 1, a*b*c^-1 = 1 or a*b^-1 = 1 (the Cayley and
+    gluing relators of presentation_of_amalgam) is one lookup
+    rows[images[a]][images[b]] compared with images[c], and any other
+    relator, like w, is evaluated letter by letter. A hit is then verified
+    again on every relator through FiniteGroup.mul, independently of the
+    compiled checks.
     """
     w = tuple(w)
     if not w:
@@ -356,13 +383,23 @@ def hom_search(
     for g in w:
         if g == 0 or abs(g) > P.ngens:
             raise ElementOutOfRange(f"word letter {g} out of range")
+    n = P.ngens
     orders = _generator_orders(P)
-    buckets = [[] for _ in range(P.ngens + 1)]
+    triples = [[] for _ in range(n + 1)]
+    others = [[] for _ in range(n + 1)]
     for rel in P.relators:
-        buckets[max(abs(g) for g in rel)].append(rel)
+        k = max(abs(g) for g in rel)
+        compiled = _compile_relator(rel)
+        if compiled is None:
+            others[k].append(rel)
+        else:
+            triples[k].append(compiled)
     w_depth = max(abs(g) for g in w)
     nodes = 0
     for target in catalog:
+        rows = target.table.tolist()
+        inv = target.inverses.tolist()
+        e = target.identity
         elem_orders = [target.element_order(x) for x in target.elements()]
         candidates = [
             [
@@ -370,14 +407,21 @@ def hom_search(
                 for x in target.elements()
                 if orders[k] is None or orders[k] % elem_orders[x] == 0
             ]
-            for k in range(P.ngens + 1)
+            for k in range(n + 1)
         ]
-        images = [target.identity] * (P.ngens + 1)
+        images = [e] * (n + 1)
+
+        def value(letters):
+            out = e
+            for g in letters:
+                out = rows[out][images[g] if g > 0 else inv[images[-g]]]
+            return out
 
         def assign(k: int):
             nonlocal nodes
-            if k > P.ngens:
+            if k > n:
                 return True
+            lookups, rest, at_word = triples[k], others[k], k == w_depth
             for x in candidates[k]:
                 nodes += 1
                 if nodes > budget:
@@ -387,15 +431,17 @@ def hom_search(
                         nodes=nodes,
                     )
                 images[k] = x
-                ok = all(
-                    _eval_letters(target, images, rel) == target.identity
-                    for rel in buckets[k]
-                )
-                if ok and k == w_depth:
-                    ok = _eval_letters(target, images, w) != target.identity
-                if ok and assign(k + 1):
-                    return True
-            images[k] = target.identity
+                for a, b, c in lookups:
+                    if rows[images[a]][images[b]] != images[c]:
+                        break
+                else:
+                    if (
+                        all(value(rel) == e for rel in rest)
+                        and not (at_word and value(w) == e)
+                        and assign(k + 1)
+                    ):
+                        return True
+            images[k] = e
             return False
 
         if not assign(1):

@@ -329,16 +329,20 @@ def test_budget_stops_oracle_without_an_error():
     assert doc["reason"] == "oracle: budget-exceeded: search stopped after 10 assignment nodes"
 
 
+# S4xC2 (order 48) doubled over C4; both factors are one group object
+S4XC2_PAIR = (
+    "group G = perm 6 { (1 2); (1 2 3 4); (5 6) }\n"
+    "group C4 = cyclic 4\n"
+    "embed ea : C4 -> G { g -> (1 2 3 4) }\n"
+    "embed eb : C4 -> G { g -> (1 2 3 4) }\n"
+    "amalgam P = G, G over C4 via ea, eb\n"
+    "word w in P = 0:(1 2) * 1:(1 2)\n"
+)
+
+
 def test_generator_cap_keeps_earlier_attempts(tmp_path):
     path = tmp_path / "s4xc2.amg"
-    path.write_text(
-        "group G = perm 6 { (1 2); (1 2 3 4); (5 6) }\n"
-        "group C4 = cyclic 4\n"
-        "embed ea : C4 -> G { g -> (1 2 3 4) }\n"
-        "embed eb : C4 -> G { g -> (1 2 3 4) }\n"
-        "amalgam P = G, G over C4 via ea, eb\n"
-        "word w in P = 0:(1 2) * 1:(1 2)\n"
-    )
+    path.write_text(S4XC2_PAIR)
     code, out, err = _run(["witness", "--spec", str(path), "--word", "w"])
     assert (code, err) == (2, "")
     doc = json.loads(out)
@@ -348,3 +352,23 @@ def test_generator_cap_keeps_earlier_attempts(tmp_path):
         "oracle: too-many-generators: 94 generators exceed the cap 64"
     )
     assert [c["kind"] for c in doc["certificates"]] == ["double", "cyclic_amalgam"]
+
+
+def test_witness_computes_the_derived_series_of_a_factor_once(tmp_path, monkeypatch):
+    """Every series starts with [G, G]; the chain is kept on the group object."""
+    import amalgam.groups as groups
+
+    first_steps = []
+    real = groups.commutator_subgroup
+
+    def counting(G, H, K):
+        if G.order == 48 and H.is_whole() and K.is_whole():
+            first_steps.append(G)
+        return real(G, H, K)
+
+    monkeypatch.setattr(groups, "commutator_subgroup", counting)
+    path = tmp_path / "s4xc2.amg"
+    path.write_text(S4XC2_PAIR)
+    code, _, err = _run(["witness", "--spec", str(path), "--word", "w"])
+    assert (code, err) == (2, "")
+    assert len(first_steps) == 1

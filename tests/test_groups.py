@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -410,6 +411,75 @@ def test_quotient_requires_normal():
     H = subgroup_closure(G, [next(x for x in G.elements() if G.element_order(x) == 2)])
     with pytest.raises(NotNormal):
         quotient_group(G, H)
+
+
+def old_quotient_group(G, N):
+    """quotient_group as first written: |G|*|N| conjugations, a Python double loop."""
+    if not N.is_normal():
+        raise NotNormal(f"subgroup of order {N.order} is not normal")
+    rep_of = [-1] * G.order
+    for x in G.elements():
+        if rep_of[x] != -1:
+            continue
+        coset = sorted(G.mul(x, n) for n in N.elements)
+        for y in coset:
+            rep_of[y] = coset[0]
+    reps = sorted(set(rep_of))
+    idx = {r: i for i, r in enumerate(reps)}
+    table = [[idx[rep_of[G.mul(a, b)]] for b in reps] for a in reps]
+    gen_imgs = sorted({idx[rep_of[g]] for g in G.generator_indices} - {0})
+    Q = FiniteGroup(
+        table,
+        generator_indices=tuple(gen_imgs) if len(reps) > 1 else (),
+        labels=tuple(f"[{G.label(r)}]" for r in reps),
+        name=f"{G.name or G.order}/{N.order}",
+    )
+    return Q, GroupHom(G, Q, tuple(idx[rep_of[x]] for x in G.elements()))
+
+
+def test_quotient_normality_matches_is_normal_on_every_subgroup_of_s4():
+    G = symmetric_group(4)
+    subs = all_subgroups(G)
+    assert len(subs) == 30
+    for H in subs:
+        if H.is_normal():
+            Q, proj = quotient_group(G, H)
+            assert Q.order * H.order == G.order
+            assert proj.kernel().elements == H.elements
+        else:
+            with pytest.raises(NotNormal, match=f"^subgroup of order {H.order} is not normal$"):
+                quotient_group(G, H)
+
+
+def _s4xs4_over_derived():
+    P, _, _ = direct_product([symmetric_group(4), symmetric_group(4)])
+    return P, commutator_subgroup(P, whole_group(P), whole_group(P))
+
+
+def _c1024_over_order_two():
+    C = cyclic_group(1024)
+    return C, subgroup_closure(C, [512])
+
+
+def _q8_cubed_over_normal_closure():
+    Q8 = quaternion_group()
+    P, inj, _ = direct_product([Q8, Q8, Q8])
+    i, j, z = (Q8.labels.index(s) for s in ("i", "j", "-1"))
+    seed = P.mul(P.mul(inj[0].apply(i), inj[1].apply(j)), inj[2].apply(z))
+    return P, normal_closure(P, [seed])
+
+
+@pytest.mark.parametrize(
+    "make", [_s4xs4_over_derived, _c1024_over_order_two, _q8_cubed_over_normal_closure]
+)
+def test_quotient_matches_old_construction(make):
+    G, N = make()
+    Q, proj = quotient_group(G, N)
+    Q0, proj0 = old_quotient_group(G, N)
+    assert 1 < Q.order < G.order
+    assert np.array_equal(Q.table, Q0.table)
+    assert (Q.labels, Q.generator_indices, Q.name) == (Q0.labels, Q0.generator_indices, Q0.name)
+    assert proj.images == proj0.images
 
 
 def test_direct_product_injections_projections():
