@@ -224,6 +224,15 @@ def _cmd_snf(ctx, args):
         rows = json.loads(args.matrix)
     except json.JSONDecodeError as exc:
         raise _UsageError(f"bad matrix literal: {exc}") from None
+    except ValueError:
+        # json.loads raises a bare ValueError only for an integer literal
+        # past the interpreter's decimal-digit conversion limit
+        raise _UsageError(
+            "matrix literal holds an integer with more than "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        ) from None
+    except RecursionError:
+        raise _UsageError("matrix literal is nested too deeply") from None
     if (
         not isinstance(rows, list)
         or not rows

@@ -229,6 +229,11 @@ def _hnf_pivots(H: IntMatrix) -> list[tuple[int, int]]:
     return out
 
 
+def _sparse_columns(W: IntMatrix) -> list[list[tuple[int, int]]]:
+    """For each column of W, its nonzero entries as (row, value) pairs."""
+    return [[(i, x) for i, x in enumerate(W.column(k)) if x] for k in range(W.cols)]
+
+
 @dataclass(frozen=True)
 class SNFDecomposition:
     """Smith normal form data: U * M * V = D with U, V unimodular."""
@@ -244,7 +249,9 @@ def snf(M: IntMatrix) -> SNFDecomposition:
 
     The diagonal of D is nonnegative and forms a divisibility chain
     d_1 | d_2 | ... with zeros last. invariant_factors is the full diagonal,
-    units and zeros included.
+    units and zeros included. After each pivot the trailing block is put in
+    row and then column Hermite form (Kannan & Bachem, SIAM J. Comput. 8,
+    1979), which keeps the entries of U, D and V polynomial in the input size.
     """
     r, n = M.rows, M.cols
     a = M.to_rows()
@@ -334,6 +341,25 @@ def snf(M: IntMatrix) -> SNFDecomposition:
         if a[t][t] < 0:
             row_negate(t)
         t += 1
+        if t < r - 1 and t < n - 1:
+            # hnf(B^T) = B^T * W gives the row-style HNF W^T * B of the
+            # trailing block B, and hnf(B) = B * W its column-style one.
+            # Applying each W to the same rows of u (columns of v) keeps
+            # u * M * v = a. A block of one row or column is left to the
+            # pivot loop, whose gcd steps on it only shrink its entries.
+            H, W = hnf(IntMatrix.from_columns([row[t:] for row in a[t:]], rows=n - t))
+            old = u[t:]
+            for k, col in enumerate(_sparse_columns(W)):
+                a[t + k][t:] = H.column(k)
+                u[t + k] = [sum(x * old[i][j] for i, x in col) for j in range(r)]
+            H, W = hnf(IntMatrix.from_rows([row[t:] for row in a[t:]]))
+            for k in range(r - t):
+                a[t + k][t:] = H.row(k)
+            cols = _sparse_columns(W)
+            for row in v:
+                tail = row[t:]
+                row[t:] = [sum(x * tail[i] for i, x in col) for col in cols]
+
     diag = tuple(a[i][i] for i in range(m))
     return SNFDecomposition(
         U=IntMatrix.from_rows(u) if r else IntMatrix.zeros(0, 0),

@@ -169,15 +169,45 @@ def test_witness_restricted_engines_flag_changes_target():
     assert json.loads(out1)["target"]["order"] == 32
 
 
-def test_snf_with_unprintable_entries_fails_with_error_envelope():
+def test_snf_seeded_9x9_prints_verified_result():
     rng = random.Random(2)
     rows = [[rng.randint(-50, 50) for _ in range(9)] for _ in range(9)]
+    code, out, err = _run(["snf", "--matrix", json.dumps(rows)])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["verified"] is True
+
+
+def test_snf_with_unprintable_entries_fails_with_error_envelope():
+    # each entry prints (2,168 and 2,195 digits), but the second invariant
+    # factor 2^7200 * 3^4600 has 4,363
+    rows = [[2**7200, 0], [0, 3**4600]]
     code, out, err = _run(["snf", "--matrix", json.dumps(rows)])
     assert code == 1
     assert out == ""
     doc = json.loads(err)
     assert doc["error"]["code"] == "integer-too-large"
     assert doc["error"]["details"] == {"max_digits": sys.get_int_max_str_digits()}
+
+
+def test_snf_matrix_literal_past_digit_limit_is_usage_error():
+    limit = sys.get_int_max_str_digits()
+    code, out, err = _run(["snf", "--matrix", "[[" + "1" * (limit + 700) + "]]"])
+    assert code == 1
+    assert out == ""
+    doc = json.loads(err)
+    assert doc["error"]["code"] == "usage-error"
+    assert f"more than {limit} decimal digits" in doc["error"]["message"]
+
+
+def test_snf_deeply_nested_matrix_literal_is_usage_error():
+    code, out, err = _run(["snf", "--matrix", "[" * 100_000 + "]" * 100_000])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "code": "usage-error",
+        "message": "matrix literal is nested too deeply",
+    }
 
 
 # ----------------------------------------------- certify on the wrong shape

@@ -582,6 +582,66 @@ def test_hom_rejects_non_multiplicative():
         GroupHom(G, cyclic_group(2), (0, 1, 1, 0))
 
 
+def full_hom_check(source, target, images):
+    """Multiplicativity on all |G|^2 pairs: None, or the message for the
+    first failing pair in row-major order."""
+    for x in source.elements():
+        for y in source.elements():
+            if images[source.mul(x, y)] != target.mul(images[x], images[y]):
+                return f"map is not multiplicative at pair ({x}, {y})"
+    return None
+
+
+def test_hom_generator_check_matches_full_check():
+    rng = random.Random(418)
+    groups = [
+        cyclic_group(1),
+        cyclic_group(2),
+        cyclic_group(6),
+        symmetric_group(3),
+        quaternion_group(),
+        dihedral_group(4),
+        direct_product([cyclic_group(2), cyclic_group(2)])[0],
+    ]
+    seen = {"hom": 0, "bad": 0}
+    for _ in range(400):
+        G, T = rng.choice(groups), rng.choice(groups)
+        kind = rng.randrange(4)
+        if kind == 0:
+            images = [rng.randrange(T.order) for _ in G.elements()]
+        elif kind == 3 and G.small_generators:
+            # multiplicative along the first generator g only: phi(r g^k) =
+            # t_r a^k for random t_r per coset r<g> (t = 1 on <g>), a^|g| = 1
+            g = G.small_generators[0]
+            a = rng.choice([y for y in T.elements() if G.element_order(g) % T.element_order(y) == 0])
+            images = [None] * G.order
+            for x in (G.identity, *G.elements()):
+                if images[x] is None:
+                    t = T.identity if x == G.identity else rng.randrange(T.order)
+                    for k in range(G.element_order(g)):
+                        images[G.mul(x, G.power(g, k))] = T.mul(t, T.power(a, k))
+        else:
+            # a homomorphism from generator images, when they extend to one
+            try:
+                h = hom_from_generator_images(
+                    G, T, {g: rng.randrange(T.order) for g in G.generator_indices}
+                )
+            except NotAHomomorphism:
+                continue
+            images = list(h.images)
+            if kind == 2:
+                images[rng.randrange(G.order)] = rng.randrange(T.order)
+        expected = full_hom_check(G, T, images)
+        seen["hom" if expected is None else "bad"] += 1
+        if expected is None:
+            GroupHom(G, T, tuple(images))
+        else:
+            with pytest.raises(NotAHomomorphism) as exc:
+                GroupHom(G, T, tuple(images))
+            assert str(exc.value) == expected
+    assert min(seen.values()) >= 30, seen
+
+
 def test_hom_from_generator_images_extends():
     G = symmetric_group(3)
     C2 = cyclic_group(2)

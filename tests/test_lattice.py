@@ -1,5 +1,6 @@
 import random
-from math import gcd, prod
+import time
+from math import gcd, log2, prod
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,62 @@ def test_snf_properties(r, n, seed):
                 assert dec.D.entry(i, j) == 0
     # gcd-of-minors oracle agrees
     assert d == smith_minor_gcds(A)
+
+
+def _check_snf(A, dec, oracle=True):
+    """U * A * V = D with U, V unimodular and D diagonal, nonnegative and a
+    divisibility chain, which already pins D down as the Smith form; then,
+    where the minor count allows, the invariant factors against the oracle."""
+    assert dec.U.mul(A).mul(dec.V) == dec.D
+    assert abs(int_det(dec.U)) == 1
+    assert abs(int_det(dec.V)) == 1
+    d = list(dec.invariant_factors)
+    assert dec.D == M([[d[i] if i == j else 0 for j in range(A.cols)] for i in range(A.rows)])
+    assert all(x >= 0 for x in d)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
+    if oracle:
+        assert d == smith_minor_gcds(A)
+
+
+def _max_bits(X):
+    return max((abs(x).bit_length() for x in X.entries), default=0)
+
+
+# Transform size bound max bits(U, V) <= SNF_BITS_C * n * log2(max|M| + 2),
+# n = max(rows, cols). The cases below reach a ratio of about 2, and 6,600
+# random shapes up to 12 x 12 with entries up to 1000 reached 4.8. Without
+# the trailing-block reduction a 6 x 6 matrix already exceeds it; with rows
+# reduced but columns not, V of the wide 6 x 20 case does (ratio 10.7).
+SNF_BITS_C = 6
+
+
+def test_snf_transforms_stay_bounded():
+    rng = random.Random(20261018)
+    shapes = [(n, n) for n in range(1, 13)]
+    shapes += [(4, 12), (12, 4), (6, 9), (9, 6), (12, 11), (6, 20), (10, 30)]
+    for r, c in shapes:
+        for bound in (9, 1000):
+            rows = [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)]
+            if r > 2:
+                # rank-deficient: the last row is the difference of the first two
+                rows[-1] = [x - y for x, y in zip(rows[0], rows[1])]
+            A = M(rows)
+            dec = snf(A)
+            limit = SNF_BITS_C * max(r, c) * log2(max(abs(x) for x in A.entries) + 2)
+            assert max(_max_bits(dec.U), _max_bits(dec.V)) <= limit, (r, c, bound)
+            # past 10 rows or columns an invariant factor above 1 late in the
+            # chain makes the oracle take seconds per matrix
+            _check_snf(A, dec, oracle=max(r, c) <= 10)
+
+
+@pytest.mark.parametrize("n, seed", [(10, 0), (10, 3), (12, 0), (12, 2)])
+def test_snf_large_square_is_fast(n, seed):
+    rng = random.Random(seed)
+    A = M([[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)])
+    start = time.perf_counter()
+    dec = snf(A)
+    assert time.perf_counter() - start < 1.0
+    _check_snf(A, dec)
 
 
 def test_unimodular_inverse():
