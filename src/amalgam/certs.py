@@ -29,11 +29,17 @@ class Check:
 
 @dataclass
 class Certificate:
+    """A construction's description, checks and claims. target and hom, the
+    quotient built and the map into it, are kept for witness results and
+    never serialized."""
+
     kind: str
     quotient_description: dict = field(default_factory=dict)
     hom_data: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     claims: list = field(default_factory=list)
+    target: FiniteGroup | None = field(default=None, compare=False, repr=False)
+    hom: object = field(default=None, compare=False, repr=False)
 
     @property
     def all_passed(self) -> bool:
@@ -97,10 +103,9 @@ class WitnessResult:
         }
 
 
-def witness_result(
-    cert: Certificate, target: FiniteGroup, word, word_label: str, image: int
-) -> WitnessResult:
-    """The separation of word by cert's construction: image is its image in target."""
+def witness_result(cert: Certificate, word, word_label: str, image: int) -> WitnessResult:
+    """The separation of word by cert's construction: image is its image in cert.target."""
+    target = cert.target
     dl = derived_length(target)
     return WitnessResult(
         word=list(word),

@@ -661,11 +661,17 @@ def _invert(p):
 
 
 def _perm_pow(p, k: int):
+    # square-and-multiply: the atom need not be a group member, so k cannot
+    # be reduced modulo an order read off a table
     if k < 0:
         p, k = _invert(p), -k
     out = tuple(range(len(p)))
-    for _ in range(k):
-        out = _compose(out, p)
+    while k:
+        if k & 1:
+            out = _compose(out, p)
+        k >>= 1
+        if k:
+            p = _compose(p, p)
     return out
 
 

@@ -76,16 +76,6 @@ class NotCentral(AmalgamError):
     code = "not-central"
 
 
-class NotIsomorphism(AmalgamError):
-    """A map required to be an isomorphism is not bijective."""
-
-    code = "not-isomorphism"
-
-
-class OrderMismatch(AmalgamError):
-    code = "order-mismatch"
-
-
 class NotSolvable(AmalgamError):
     code = "not-solvable"
 

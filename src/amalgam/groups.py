@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ClosureCapExceeded,
     ElementOutOfRange,
-    IdentityElement,
     InvalidGroup,
     NotAHomomorphism,
     NotAPermutation,
@@ -113,11 +112,16 @@ class FiniteGroup:
         return self.mul(self.mul(by, x), self.inv(by))
 
     def power(self, a: int, k: int) -> int:
+        """a^k by square-and-multiply, so the cost is logarithmic in |k|."""
         if k < 0:
-            return self.power(self.inv(a), -k)
+            a, k = self.inv(a), -k
         out = self.identity
-        for _ in range(k):
-            out = self.mul(out, a)
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            k >>= 1
+            if k:
+                a = self.mul(a, a)
         return out
 
     def element_order(self, a: int) -> int:
@@ -511,17 +515,6 @@ def hom_from_generator_images(
     return GroupHom(source, target, tuple(images[x] for x in source.elements()))
 
 
-def subgroup_as_group(G: FiniteGroup, H: Subgroup) -> tuple[FiniteGroup, GroupHom]:
-    """H as a standalone group plus its embedding back into G."""
-    elems = list(H.elements)
-    pos = {x: i for i, x in enumerate(elems)}
-    table = [[pos[G.mul(a, b)] for b in elems] for a in elems]
-    labels = tuple(G.label(x) for x in elems)
-    sub = FiniteGroup(table, labels=labels, name=f"sub{H.order}of{G.name or G.order}")
-    embed = GroupHom(sub, G, tuple(elems))
-    return sub, embed
-
-
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """G/N with the canonical projection. N must be normal.
 
@@ -655,19 +648,17 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
 
 # -- constructors ------------------------------------------------------------
 
-def perm_from_cycles(degree: int, cycles, one_based: bool = True) -> tuple[int, ...]:
+def perm_from_cycles(degree: int, cycles) -> tuple[int, ...]:
     """Permutation (as an image tuple) from disjoint-or-not cycle notation.
 
     Cycles are applied right to left, matching composition p*q = "q then p".
     """
     images = list(range(degree))
     for cycle in reversed(list(cycles)):
-        pts = [int(p) - (1 if one_based else 0) for p in cycle]
+        pts = [int(p) - 1 for p in cycle]
         for p in pts:
             if not 0 <= p < degree:
-                raise NotAPermutation(
-                    f"point {p + (1 if one_based else 0)} outside degree {degree}"
-                )
+                raise NotAPermutation(f"point {p + 1} outside degree {degree}")
         if len(set(pts)) != len(pts):
             raise NotAPermutation(f"repeated point in cycle {tuple(cycle)}")
         step = {pts[i]: pts[(i + 1) % len(pts)] for i in range(len(pts))}
@@ -842,10 +833,3 @@ def alternating_group(n: int, name: str = "") -> FiniteGroup:
         return group_from_permutations(max(n, 1), [], name=name or f"A{n}")
     gens = [perm_from_cycles(n, [(i, i + 1, i + 2)]) for i in range(1, n - 1)]
     return group_from_permutations(n, gens, name=name or f"A{n}")
-
-
-def nonidentity(G: FiniteGroup, x: int) -> int:
-    """Pass-through guard: raises if x is the identity."""
-    if x == G.identity:
-        raise IdentityElement("expected a nonidentity element")
-    return x

@@ -130,27 +130,17 @@ def int_det(M: IntMatrix) -> int:
 
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (adjugate over det = +-1)."""
+    """Inverse of a unimodular integer matrix.
+
+    M is unimodular exactly when its columns span Z^n, that is when its column
+    HNF is the identity; then H = M * U = I makes the transform U the inverse.
+    """
     if M.rows != M.cols:
         raise InvalidGroup("inverse of a non-square matrix")
-    n = M.rows
-    d = int_det(M)
-    if d not in (1, -1):
-        raise InvalidGroup(f"matrix is not unimodular (det {d})")
-    if n == 0:
-        return M
-    rows = M.to_rows()
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-            ]
-            cof = int_det(IntMatrix.from_rows(minor)) if n > 1 else 1
-            if (i + j) % 2:
-                cof = -cof
-            inv[j][i] = cof * d
-    return IntMatrix.from_rows(inv)
+    H, U = hnf(M)
+    if H != IntMatrix.identity(M.rows):
+        raise InvalidGroup(f"matrix is not unimodular (det {int_det(M)})")
+    return U
 
 
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

@@ -475,13 +475,14 @@ def hom_search(
                 ]
             },
             checks=checks,
+            target=target,
         )
         if not all(c.passed for c in checks):
             continue
         label = word_label or " * ".join(
             (f"g{g}" if g > 0 else f"g{-g}^-1") for g in w
         )
-        return witness_result(cert, target, word, label, image)
+        return witness_result(cert, word, label, image)
     return Exhausted(nodes=nodes, targets_tried=len(catalog))
 
 

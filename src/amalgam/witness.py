@@ -1,10 +1,12 @@
 """Theorem engines: one per separation strategy.
 
-Each engine builds the quotient its strategy calls for, induces the
-homomorphism out of the amalgam, runs the verification exhaustively, and
-packages a Certificate. ENGINES holds every engine once, in dispatch order:
-a check that says whether it applies to an amalgam and a build that runs it.
-The certify command and separate_element both go through that table.
+Each engine is one public builder on an AmalgamSpec. It validates the spec,
+raises the error the engine's check returns for it, builds the quotient its
+strategy calls for, induces the homomorphism out of the amalgam, runs the
+verification exhaustively, and packages a Certificate. ENGINES holds every
+engine once, in dispatch order: a check that says whether it applies to an
+amalgam and a build that calls its builder. The certify command and
+separate_element both go through that table.
 
 separate_element runs each applicable engine in turn and returns the first
 witness with a verified-solvable target, or NotSeparatedAtLevelOne. An engine
@@ -14,8 +16,6 @@ reason, and dispatch moves on to the next one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field, replace
 
 from . import oracle as oracle_mod
 from .certs import Certificate, Check, NotSeparatedAtLevelOne, WitnessResult, witness_result
@@ -27,11 +27,9 @@ from .errors import (
     IdentityWord,
     IncompatibleAmalgam,
     InvalidGroup,
-    NotIsomorphism,
     NotProperSubgroup,
     NotSolvable,
     NotTorsionFree,
-    OrderMismatch,
     TooManyGenerators,
 )
 from .groups import (
@@ -41,11 +39,9 @@ from .groups import (
     GroupHom,
     Subgroup,
     abelian_invariants,
-    cyclic_group,
     derived_length,
     direct_product,
     frattini,
-    hom_from_generator_images,
     identity_hom,
     is_nilpotent,
     is_solvable,
@@ -53,7 +49,6 @@ from .groups import (
     quotient_group,
     series,
     subgroup,
-    subgroup_as_group,
     subgroup_closure,
     whole_group,
 )
@@ -69,15 +64,6 @@ from .words import (
     validate_spec,
     word_label,
 )
-
-
-@dataclass
-class _Parts(Certificate):
-    """The certificate an engine returns: it also holds the quotient it built
-    and the map into it (for abelian_factor_quotient, the map from A)."""
-
-    target: FiniteGroup = field(default=None, compare=False, repr=False)
-    hom: object = field(default=None, compare=False, repr=False)
 
 
 def derived_depth(G: FiniteGroup, g: int) -> int:
@@ -103,42 +89,56 @@ def _gen_images(G: FiniteGroup, apply, label) -> list:
     return [[G.label(g), label(apply(g))] for g in G.generator_indices]
 
 
+# ------------------------------------------------------------------ checks
+#
+# An engine's check returns the error that rules it out for a validated
+# amalgam, or None: its builder raises that error, separate_element skips the
+# engine without a note. abelian-factor's check also takes the factor.
+
+
+def _admit(spec, check, *args):
+    """Validate spec, then raise the error check returns for it, if any."""
+    validate_spec(spec)
+    if error := check(spec, *args):
+        raise error
+
+
+def _finite_check(spec, limits=None):
+    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
+        return EmbeddingTypeMismatch("this theorem needs finite factors")
+    if not isinstance(spec.amalgam, FiniteGroup):
+        return EmbeddingTypeMismatch("this theorem needs a finite amalgam group")
+    return None
+
+
+def _pair_check(spec, limits=None):
+    if len(spec.factors) != 2:
+        return IncompatibleAmalgam(
+            f"this theorem needs exactly 2 factors, got {len(spec.factors)}"
+        )
+    return _finite_check(spec)
+
+
 # -------------------------------------------------- abelianized product
 
 
 def not_perfect_certificate(
-    A: FiniteGroup,
-    B: FiniteGroup,
-    C_A: Subgroup,
-    C_B: Subgroup,
-    iso: dict,
-    *,
-    frattini_cap: int = DEFAULT_LATTICE_CAP,
+    spec: AmalgamSpec, frattini_cap: int = DEFAULT_LATTICE_CAP
 ) -> Certificate:
-    """Nontrivial abelian quotient of an amalgam over proper subgroups.
+    """Nontrivial abelian quotient of a two-factor amalgam over proper subgroups.
 
     Each side is collapsed by the normal closure of its copy of C together
     with its commutator subgroup; the product of the two collapses is an
-    abelian group D the amalgam maps onto. iso maps element indices of C_A
-    to element indices of C_B.
+    abelian group D the amalgam maps onto.
     """
-    if C_A.parent != A or C_B.parent != B:
-        raise IncompatibleAmalgam("subgroups must live in the given factors")
+    _admit(spec, _pair_check)
+    (A, B), (e_a, e_b) = spec.factors, spec.embeddings
+    C_A = subgroup(A, e_a.images)
+    C_B = subgroup(B, e_b.images)
     if C_A.is_whole():
         raise NotProperSubgroup("the amalgam copy in the first factor is not proper")
     if C_B.is_whole():
         raise NotProperSubgroup("the amalgam copy in the second factor is not proper")
-    if C_A.order != C_B.order:
-        raise IncompatibleAmalgam(
-            f"subgroup orders {C_A.order} and {C_B.order} cannot be identified"
-        )
-    dom = set(C_A.elements)
-    if set(iso.keys()) != dom or sorted(iso.values()) != sorted(C_B.elements):
-        raise NotIsomorphism("iso is not a bijection between the two copies")
-    for x in dom:
-        for y in dom:
-            if iso[A.mul(x, y)] != B.mul(iso[x], iso[y]):
-                raise NotIsomorphism("iso does not preserve products")
 
     der_a = _derived2(A)
     der_b = _derived2(B)
@@ -168,8 +168,8 @@ def not_perfect_certificate(
     map_a = proj_a.then(injs[0])
     map_b = proj_b.then(injs[1])
     agree = all(
-        map_a.apply(x) == D_fin.identity and map_b.apply(iso[x]) == D_fin.identity
-        for x in C_A.elements
+        map_a.apply(e_a.apply(c)) == D_fin.identity and map_b.apply(e_b.apply(c)) == D_fin.identity
+        for c in spec.amalgam.elements()
     )
     checks.append(
         Check(
@@ -214,31 +214,34 @@ def not_perfect_certificate(
 # ---------------------------------------------- cyclic identification
 
 
-def _cyclic_error(A: FiniteGroup, B: FiniteGroup, a: int, b: int):
-    """Why a and b cannot be identified by the cyclic engine, or None."""
-    if a == A.identity or b == B.identity:
+def _cyclic_generator(C: FiniteGroup):
+    """An element generating C, or None if C is not cyclic."""
+    return next((c for c in C.elements() if C.element_order(c) == C.order), None)
+
+
+def _cyclic_check(spec, limits=None):
+    if error := _pair_check(spec):
+        return error
+    C = spec.amalgam
+    if _cyclic_generator(C) is None:
+        return InvalidGroup(f"the amalgam group of order {C.order} is not cyclic")
+    if C.order == 1:
         return IdentityElement("amalgam generators must be nonidentity")
-    k = A.element_order(a)
-    if k != B.element_order(b):
-        return OrderMismatch(
-            f"generator orders {k} and {B.element_order(b)} differ",
-            left=k,
-            right=B.element_order(b),
-        )
-    if not is_solvable(A):
+    if not is_solvable(spec.factors[0]):
         return NotSolvable("left factor is not solvable")
-    if not is_solvable(B):
+    if not is_solvable(spec.factors[1]):
         return NotSolvable("right factor is not solvable")
     return None
 
 
-def cyclic_amalgam_quotient(
-    A: FiniteGroup, B: FiniteGroup, a: int, b: int, max_order: int = DEFAULT_MAX_ORDER
-) -> Certificate:
-    """Identify the images of a and b across the two depth-truncated factors."""
-    if error := _cyclic_error(A, B, a, b):
-        raise error
-    k = A.element_order(a)
+def cyclic_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDER) -> Certificate:
+    """Identify the images a and b of a generator of the cyclic amalgam
+    across the two depth-truncated factors."""
+    _admit(spec, _cyclic_check)
+    (A, B), C = spec.factors, spec.amalgam
+    g = _cyclic_generator(C)
+    a, b = (e.apply(g) for e in spec.embeddings)
+    k = C.order
     m = derived_depth(A, a)
     n = derived_depth(B, b)
     Abar, proj_a = quotient_group(A, series(A, "derived").terms[m])
@@ -251,11 +254,6 @@ def cyclic_amalgam_quotient(
     inj_b = GroupHom(Bbar, P, tuple(range(Bbar.order)))
     map_a = proj_a.then(inj_a).then(proj_d)
     map_b = proj_b.then(inj_b).then(proj_d)
-
-    C = cyclic_group(k)
-    e_a = hom_from_generator_images(C, A, {1: a})
-    e_b = hom_from_generator_images(C, B, {1: b})
-    spec = validate_spec(AmalgamSpec([A, B], C, [e_a, e_b]))
     hom = induce_hom(spec, D, [map_a, map_b])
 
     dying = [j for j in range(1, k) if map_a.apply(A.power(a, j)) == D.identity]
@@ -265,7 +263,7 @@ def cyclic_amalgam_quotient(
         if separates
         else f"power {dying[0]} of the amalgam generator maps to the identity"
     )
-    return _Parts(
+    return Certificate(
         kind="cyclic_amalgam",
         quotient_description={
             "order": D.order,
@@ -299,15 +297,18 @@ def cyclic_amalgam_quotient(
 # ------------------------------------------------ central identification
 
 
-def central_amalgam_quotient(
-    factors, C: FiniteGroup, embeddings, max_order: int = DEFAULT_MAX_ORDER
-) -> Certificate:
+def _central_check(spec, limits=None):
+    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
+        return EmbeddingTypeMismatch("this theorem needs finite factors")
+    return central_product_error(spec.factors, spec.amalgam, spec.embeddings)
+
+
+def central_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDER) -> Certificate:
     """Collapse the product of the factors along their shared central subgroup."""
-    factors = list(factors)
-    embeddings = list(embeddings)
-    S, mus = build_generalized_central_product(factors, C, embeddings, max_order)
-    spec = validate_spec(AmalgamSpec(factors, C, embeddings)) if len(factors) > 1 else None
-    hom = induce_hom(spec, S, mus) if spec is not None else None
+    _admit(spec, _central_check)
+    factors, C = spec.factors, spec.amalgam
+    S, mus = build_generalized_central_product(factors, C, spec.embeddings, max_order)
+    hom = induce_hom(spec, S, mus)
 
     inj_evidence = []
     all_inj = True
@@ -322,7 +323,7 @@ def central_amalgam_quotient(
     order_product = 1
     for f in factors:
         order_product *= f.order
-    expected = order_product // C.order ** (len(factors) - 1) if len(factors) else 1
+    expected = order_product // C.order ** (len(factors) - 1)
     checks = [
         Check(
             "mu_injective_on_factors",
@@ -340,7 +341,7 @@ def central_amalgam_quotient(
             f"|S| = {S.order}, factor orders give {expected}",
         ),
     ]
-    return _Parts(
+    return Certificate(
         kind="central_amalgam",
         quotient_description={
             "order": S.order,
@@ -362,31 +363,27 @@ def central_amalgam_quotient(
 # ------------------------------------------------------- double retraction
 
 
-def double_retraction(factors, isos, C_sub: Subgroup) -> Certificate:
-    """Collapse isomorphic copies glued along a common subgroup onto copy 0."""
-    factors = list(factors)
-    isos = list(isos)
-    if len(factors) < 2:
-        raise IncompatibleAmalgam("a double needs at least two copies")
-    if len(isos) != len(factors):
-        raise IncompatibleAmalgam(f"{len(isos)} isomorphisms for {len(factors)} copies")
+def _double_check(spec, limits=None):
+    if error := _finite_check(spec):
+        return error
+    first, images = spec.factors[0], spec.embeddings[0].images
+    if any(f != first or e.images != images for f, e in zip(spec.factors, spec.embeddings)):
+        return IncompatibleAmalgam(
+            "the double theorem needs literal factor copies with identical "
+            "amalgam embeddings; these factors differ"
+        )
+    return None
+
+
+def double_retraction(spec: AmalgamSpec) -> Certificate:
+    """Collapse copies of one group glued along a common subgroup onto copy 0."""
+    _admit(spec, _double_check)
+    factors = spec.factors
     A0 = factors[0]
-    if C_sub.parent != A0:
-        raise IncompatibleAmalgam("the amalgam subgroup must live in the first copy")
-    for i, (f, iso) in enumerate(zip(factors, isos)):
-        if not isinstance(iso, GroupHom) or iso.source != A0 or iso.target != f:
-            raise NotIsomorphism(f"map {i} must go from the first copy to copy {i}", factor=i)
-        if not iso.is_isomorphism():
-            raise NotIsomorphism(f"map {i} is not an isomorphism", factor=i)
+    ident = identity_hom(A0)
+    psi = induce_hom(spec, A0, [ident] * len(factors))
 
-    C_grp, incl = subgroup_as_group(A0, C_sub)
-    embeds = [incl.then(iso) for iso in isos]
-    spec = validate_spec(AmalgamSpec(factors, C_grp, embeds))
-    psi = induce_hom(spec, A0, [iso.inverse() for iso in isos])
-
-    retract = all(
-        psi.apply_word([(0, isos[0].apply(x))]) == x for x in A0.elements()
-    )
+    retract = all(psi.apply_word([(0, x)]) == x for x in A0.elements())
     inj_all = True
     inj_evidence = []
     for i, f in enumerate(factors):
@@ -399,13 +396,13 @@ def double_retraction(factors, isos, C_sub: Subgroup) -> Certificate:
     nontrivial_kernel_words = 0
     for i in range(1, len(factors)):
         for x in A0.elements():
-            w = [(0, isos[0].apply(x)), (i, factors[i].inv(isos[i].apply(x)))]
+            w = [(0, x), (i, factors[i].inv(x))]
             if psi.apply_word(w) != A0.identity:
                 kernel_ok = False
             if reduce(spec, w).length > 0:
                 nontrivial_kernel_words += 1
     solvable = is_solvable(A0)
-    return _Parts(
+    return Certificate(
         kind="double",
         quotient_description={
             "order": A0.order,
@@ -413,7 +410,7 @@ def double_retraction(factors, isos, C_sub: Subgroup) -> Certificate:
             "copies": len(factors),
         },
         hom_data={
-            f"factor_{i}": _gen_images(factors[i], isos[i].inverse().apply, A0.label)
+            f"factor_{i}": _gen_images(factors[i], ident.apply, A0.label)
             for i in range(len(factors))
         },
         checks=[
@@ -452,36 +449,35 @@ def _quotient_of_lattice(split) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=f"lattice-quotient-{n}")
 
 
-def _torsion_error(A):
-    if not isinstance(A, FGAbelian):
-        return NotTorsionFree("the split factor must be a finitely generated abelian group")
+def _abelian_check(spec, factor):
+    A, e = spec.factors[factor], spec.embeddings[factor]
+    if not isinstance(A, FGAbelian) or not isinstance(e, (IntMatrix, type(None))):
+        return EmbeddingTypeMismatch(f"factor {factor} is not a lattice with a matrix embedding")
     if A.torsion:
         return NotTorsionFree("the split factor must be torsion-free")
     return None
 
 
-def abelian_factor_quotient(A: FGAbelian, C) -> Certificate:
-    """Finite quotient of the lattice factor that kills the amalgam."""
-    if error := _torsion_error(A):
-        raise error
-    if isinstance(C, FGAbelian):
-        raise EmbeddingTypeMismatch(
-            "pass the amalgam as a sublattice (its embedded image), not a bare group"
-        )
-    if isinstance(C, IntMatrix):
-        C = LatticeSubgroup(A.ngens, C)
-    if not isinstance(C, LatticeSubgroup):
-        C = LatticeSubgroup.from_vectors(A.ngens, list(C))
-    if C.ambient_rank != A.ngens:
-        raise EmbeddingTypeMismatch(
-            f"sublattice lives in rank {C.ambient_rank}, factor has rank {A.ngens}"
-        )
+def abelian_factor_quotient(spec: AmalgamSpec, factor: int) -> Certificate:
+    """Finite quotient of the lattice factor that kills its copy of the
+    amalgam, with the other factors mapped trivially."""
+    _admit(spec, _abelian_check, factor)
+    A, e = spec.factors[factor], spec.embeddings[factor]
+    C = LatticeSubgroup(A.ngens, IntMatrix.zeros(A.ngens, 0) if e is None else e)
     split = finite_index_split(A.ngens, C)
     Q = _quotient_of_lattice(split)
     basis_images = []
     for j in range(A.ngens):
         e_j = tuple(1 if t == j else 0 for t in range(A.ngens))
         basis_images.append(split.coset_index(e_j))
+    maps = []
+    for j, g in enumerate(spec.factors):
+        if j == factor:
+            maps.append(AbelianToFiniteHom(A, Q, basis_images))
+        elif isinstance(g, FiniteGroup):
+            maps.append(GroupHom(g, Q, (Q.identity,) * g.order))
+        else:
+            maps.append(AbelianToFiniteHom(g, Q, (Q.identity,) * g.ngens))
     kills = all(
         split.contains(C.basis.column(j)) for j in range(C.basis.cols)
     )
@@ -496,7 +492,7 @@ def abelian_factor_quotient(A: FGAbelian, C) -> Certificate:
     ]
     if split.index == 1:
         claims.insert(0, "vacuous quotient")
-    return _Parts(
+    return Certificate(
         kind="abelian_factor",
         quotient_description={
             "order": split.index,
@@ -518,119 +514,16 @@ def abelian_factor_quotient(A: FGAbelian, C) -> Certificate:
         ],
         claims=claims,
         target=Q,
-        hom=AbelianToFiniteHom(A, Q, basis_images),
+        hom=induce_hom(spec, Q, maps),
     )
 
 
 # ----------------------------------------------------------- engine table
 #
-# check(spec, limits) returns the error that rules an engine out for the
-# amalgam, or None: certify raises it, separate_element skips the engine
-# without a note. build(spec, limits) runs the engine on an amalgam its check
-# passed. limits holds max_order, frattini_cap (read by not-perfect only) and
-# factor, the lattice factor that abelian-factor quotients.
-
-
-def _finite_check(spec, limits=None):
-    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
-        return EmbeddingTypeMismatch("this theorem needs finite factors")
-    if not isinstance(spec.amalgam, FiniteGroup):
-        return EmbeddingTypeMismatch("this theorem needs a finite amalgam group")
-    return None
-
-
-def _pair_check(spec, limits=None):
-    if len(spec.factors) != 2:
-        return IncompatibleAmalgam(
-            f"this theorem needs exactly 2 factors, got {len(spec.factors)}"
-        )
-    return _finite_check(spec)
-
-
-def _not_perfect_build(spec, limits):
-    (A, B), (e1, e2) = spec.factors, spec.embeddings
-    C_A = subgroup(A, e1.images)
-    C_B = subgroup(B, e2.images)
-    iso = {e1.apply(c): e2.apply(c) for c in spec.amalgam.elements()}
-    return not_perfect_certificate(A, B, C_A, C_B, iso, frattini_cap=limits["frattini_cap"])
-
-
-def _cyclic_generators(spec):
-    """The images (a, b) of a generator of the amalgam, or None if it is not cyclic."""
-    C = spec.amalgam
-    gen = next((c for c in C.elements() if C.element_order(c) == C.order), None)
-    if gen is None:
-        return None
-    return spec.embeddings[0].apply(gen), spec.embeddings[1].apply(gen)
-
-
-def _cyclic_check(spec, limits):
-    if error := _pair_check(spec):
-        return error
-    pair = _cyclic_generators(spec)
-    if pair is None:
-        return InvalidGroup(f"the amalgam group of order {spec.amalgam.order} is not cyclic")
-    return _cyclic_error(*spec.factors, *pair)
-
-
-def _cyclic_build(spec, limits):
-    return cyclic_amalgam_quotient(*spec.factors, *_cyclic_generators(spec), limits["max_order"])
-
-
-def _central_check(spec, limits):
-    if not all(isinstance(f, FiniteGroup) for f in spec.factors):
-        return EmbeddingTypeMismatch("this theorem needs finite factors")
-    return central_product_error(spec.factors, spec.amalgam, spec.embeddings)
-
-
-def _central_build(spec, limits):
-    return central_amalgam_quotient(
-        spec.factors, spec.amalgam, spec.embeddings, limits["max_order"]
-    )
-
-
-def _double_check(spec, limits):
-    if error := _finite_check(spec):
-        return error
-    first, images = spec.factors[0], spec.embeddings[0].images
-    if any(f != first or e.images != images for f, e in zip(spec.factors, spec.embeddings)):
-        return IncompatibleAmalgam(
-            "the double theorem needs literal factor copies with identical "
-            "amalgam embeddings; these factors differ"
-        )
-    return None
-
-
-def _double_build(spec, limits):
-    first = spec.factors[0]
-    C_sub = subgroup(first, spec.embeddings[0].images)
-    return double_retraction(spec.factors, [identity_hom(first)] * len(spec.factors), C_sub)
-
-
-def _abelian_check(spec, limits):
-    i = limits["factor"]
-    A, e = spec.factors[i], spec.embeddings[i]
-    if not isinstance(A, FGAbelian) or not isinstance(e, (IntMatrix, type(None))):
-        return EmbeddingTypeMismatch(f"factor {i} is not a lattice with a matrix embedding")
-    return _torsion_error(A)
-
-
-def _abelian_build(spec, limits):
-    """The lattice factor's quotient, with the other factors mapped trivially."""
-    i = limits["factor"]
-    A, e = spec.factors[i], spec.embeddings[i]
-    cert = abelian_factor_quotient(A, e if e is not None else [])
-    Q = cert.target
-    maps = []
-    for j, g in enumerate(spec.factors):
-        if j == i:
-            maps.append(cert.hom)
-        elif isinstance(g, FiniteGroup):
-            maps.append(GroupHom(g, Q, (Q.identity,) * g.order))
-        else:
-            maps.append(AbelianToFiniteHom(g, Q, (Q.identity,) * g.ngens))
-    return replace(cert, hom=induce_hom(spec, Q, maps))
-
+# build(spec, limits) calls the engine's builder. limits holds max_order,
+# frattini_cap (read by not-perfect only) and factor, the lattice factor that
+# abelian-factor quotients. Each build names its builder at call time, so a
+# wrapper installed on the module attribute sees every call.
 
 # name -> (check, build, note), in witness dispatch order; note is the reason
 # recorded when the word dies in the engine's quotient. The oracle has no
@@ -638,19 +531,31 @@ def _abelian_build(spec, limits):
 # not-perfect is for certify only.
 ENGINES = {
     "double": (
-        _double_check, _double_build, "double: word maps to the identity under the retraction"
+        _double_check,
+        lambda spec, limits: double_retraction(spec),
+        "double: word maps to the identity under the retraction",
     ),
     "central": (
-        _central_check, _central_build, "central: word maps to the identity in the central product"
+        _central_check,
+        lambda spec, limits: central_amalgam_quotient(spec, limits["max_order"]),
+        "central: word maps to the identity in the central product",
     ),
     "cyclic": (
-        _cyclic_check, _cyclic_build, "cyclic: word maps to the identity in the depth quotient"
+        _cyclic_check,
+        lambda spec, limits: cyclic_amalgam_quotient(spec, limits["max_order"]),
+        "cyclic: word maps to the identity in the depth quotient",
     ),
     "abelian-factor": (
-        _abelian_check, _abelian_build, "abelian-factor (factor {factor}): not separated at level 1"
+        lambda spec, limits: _abelian_check(spec, limits["factor"]),
+        lambda spec, limits: abelian_factor_quotient(spec, limits["factor"]),
+        "abelian-factor (factor {factor}): not separated at level 1",
     ),
     "oracle": (_finite_check, None, None),
-    "not-perfect": (_pair_check, _not_perfect_build, None),
+    "not-perfect": (
+        _pair_check,
+        lambda spec, limits: not_perfect_certificate(spec, limits["frattini_cap"]),
+        None,
+    ),
 }
 ENGINE_ORDER = tuple(name for name in ENGINES if name != "not-perfect")
 THEOREMS = tuple(sorted(name for name, (_, build, _) in ENGINES.items() if build))
@@ -719,7 +624,7 @@ def separate_element(
                 continue
             image = cert.hom.apply_word(w)
             if image != cert.target.identity and is_solvable(cert.target):
-                return witness_result(cert, cert.target, w, label, image)
+                return witness_result(cert, w, label, image)
             attempts.append(cert)
             notes.append(note.format(factor=factor))
 

@@ -9,7 +9,15 @@ import sys
 import pytest
 
 from amalgam.cli import emit_certificate, run
-from amalgam.dsl import format_specfile, parse
+from amalgam.dsl import format_specfile, parse, resolve
+from amalgam.errors import AmalgamError
+from amalgam.witness import (
+    abelian_factor_quotient,
+    central_amalgam_quotient,
+    cyclic_amalgam_quotient,
+    double_retraction,
+    not_perfect_certificate,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -256,10 +264,19 @@ embed ea : C -> S3 { }
 embed eb : C -> Z { }
 amalgam R = S3, Z over C via ea, eb
 """,
+    # C4 sent onto the order-2 center of Q8: not an amalgam at all
+    "q8_c4_noninjective": """\
+group Q8 = perm 8 { (1 2 4 8)(3 6 7 5); (1 3 4 7)(2 5 8 6) }
+group C4 = cyclic 4
+embed ea : C4 -> Q8 { g -> (1 4)(2 8)(3 7)(5 6) }
+embed eb : C4 -> Q8 { g -> (1 4)(2 8)(3 7)(5 6) }
+amalgam G = Q8, Q8 over C4 via ea, eb
+""",
 }
 
 FINITE_FACTORS = ("embedding-type-mismatch", "this theorem needs finite factors")
 NOT_LATTICE_0 = ("embedding-type-mismatch", "factor 0 is not a lattice with a matrix embedding")
+NOT_INJECTIVE_0 = ("not-injective", "embedding into factor 0 is not injective")
 
 CERTIFY_ERRORS = [
     ("not-perfect", "{G}/q8_triple.amg",
@@ -295,6 +312,9 @@ CERTIFY_ERRORS = [
     ("abelian-factor", "mixed_over_rank0", NOT_LATTICE_0),
     ("abelian-factor", "torsion_lattice",
      ("not-torsion-free", "the split factor must be torsion-free")),
+] + [
+    (theorem, "q8_c4_noninjective", NOT_INJECTIVE_0)
+    for theorem in ("cyclic", "double", "not-perfect", "central")
 ]
 
 
@@ -312,6 +332,28 @@ def test_certify_error_on_wrong_shape(tmp_path, theorem, spec, expected):
     assert (code, out) == (1, "")
     error = json.loads(err)["error"]
     assert (error["code"], error["message"]) == expected
+
+
+BUILDERS = {
+    "not-perfect": not_perfect_certificate,
+    "cyclic": cyclic_amalgam_quotient,
+    "central": central_amalgam_quotient,
+    "double": double_retraction,
+    "abelian-factor": lambda spec: abelian_factor_quotient(spec, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "theorem,spec,expected",
+    CERTIFY_ERRORS,
+    ids=[f"{t}-{pathlib.Path(s).stem}" for t, s, _ in CERTIFY_ERRORS],
+)
+def test_builder_raises_the_certify_error(theorem, spec, expected):
+    text = WRONG_SHAPE_SPECS.get(spec) or pathlib.Path(spec.replace("{G}", str(GOLDEN))).read_text()
+    (amalgam,) = resolve(parse(text)).amalgams.values()
+    with pytest.raises(AmalgamError) as exc:
+        BUILDERS[theorem](amalgam)
+    assert (exc.value.code, exc.value.message) == expected
 
 
 # ------------------------------------------------------ witness engine limits

@@ -1,5 +1,7 @@
 """Text format: parsing, canonical printing, and resolution."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +287,36 @@ def test_resolve_word_element_not_in_group():
     with pytest.raises(ResolutionError) as exc:
         resolve(sf)
     assert exc.value.name == "(1 2)"
+
+
+C6_PAIR = """\
+group C6 = cyclic 6
+group C2 = cyclic 2
+embed ea : C2 -> C6 { g -> g^3 }
+embed eb : C2 -> C6 { g -> g^3 }
+amalgam G = C6, C6 over C2 via ea, eb
+"""
+
+
+@pytest.mark.parametrize(
+    "text,word,order",
+    [
+        (S3_PAIR, "0:(1 2)^{k} * 1:(1 2)", 2),
+        (S3_PAIR, "0:(1 2 3)^{k} * 1:(1 2)", 3),
+        (C6_PAIR, "0:g^{k} * 1:g", 6),
+    ],
+)
+@pytest.mark.parametrize("k", [10**18 + 1, -(10**18) - 1])
+def test_huge_exponent_resolves_fast(text, word, order, k):
+    def normal_form(exponent):
+        ctx = resolve(parse(text + f"word w in G = {word.format(k=exponent)}\n"))
+        name, w = ctx.words["w"]
+        return reduce(ctx.amalgams[name], w)
+
+    start = time.perf_counter()
+    nf = normal_form(k)
+    assert time.perf_counter() - start < 1.0
+    assert nf == normal_form(k % order)
 
 
 # -------------------------------------------------------------- property

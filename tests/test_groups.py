@@ -38,7 +38,6 @@ from amalgam.groups import (
     quotient_group,
     series,
     subgroup,
-    subgroup_as_group,
     subgroup_closure,
     symmetric_group,
     whole_group,
@@ -497,15 +496,6 @@ def test_direct_product_injections_projections():
 def test_direct_product_cap():
     with pytest.raises(ClosureCapExceeded):
         direct_product([cyclic_group(100), cyclic_group(100)], max_order=5000)
-
-
-def test_subgroup_as_group():
-    G = quaternion_group()
-    Z = center(G)
-    H, emb = subgroup_as_group(G, Z)
-    assert H.order == 2
-    assert emb.is_injective()
-    assert [emb.apply(x) for x in H.elements()] == list(Z.elements)
 
 
 # -- abelian invariants ------------------------------------------------------

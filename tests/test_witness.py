@@ -4,16 +4,14 @@ import pytest
 
 from amalgam.certs import NotSeparatedAtLevelOne, WitnessResult
 from amalgam.errors import (
-    EmbeddingTypeMismatch,
     IdentityElement,
     IdentityWord,
     IncompatibleAmalgam,
     NotCentral,
-    NotIsomorphism,
+    NotInjective,
     NotProperSubgroup,
     NotSolvable,
     NotTorsionFree,
-    OrderMismatch,
 )
 from amalgam.groups import (
     GroupHom,
@@ -24,11 +22,9 @@ from amalgam.groups import (
     identity_hom,
     is_solvable,
     quaternion_group,
-    subgroup,
     symmetric_group,
-    whole_group,
 )
-from amalgam.lattice import FGAbelian, LatticeSubgroup
+from amalgam.lattice import FGAbelian, IntMatrix
 from amalgam.witness import (
     abelian_factor_quotient,
     central_amalgam_quotient,
@@ -38,7 +34,7 @@ from amalgam.witness import (
     not_perfect_certificate,
     separate_element,
 )
-from amalgam.words import AmalgamSpec, induce_hom, reduce
+from amalgam.words import AmalgamSpec, induce_hom, reduce, validate_spec
 
 
 def by_label(G, s):
@@ -53,26 +49,33 @@ T123 = by_label(S3, "(1 2 3)")
 MINUS_ONE = by_label(Q8, "-1")
 
 
-def a3_subgroup():
-    return subgroup(S3, [0, T123, S3.inv(T123)])
+def over_cyclic(factors, k, images):
+    """The factors glued over C_k, its generator sent to images[i] in factor i."""
+    C = cyclic_group(k)
+    return AmalgamSpec(
+        factors, C, [hom_from_generator_images(C, f, {1: x}) for f, x in zip(factors, images)]
+    )
 
 
 def s3_amalgam():
-    C3 = cyclic_group(3)
-    e = hom_from_generator_images(C3, S3, {1: T123})
-    return AmalgamSpec([S3, S3], C3, [e, e])
+    return over_cyclic([S3, S3], 3, [T123, T123])
 
 
 def q8_amalgam():
-    C2 = cyclic_group(2)
-    e = hom_from_generator_images(C2, Q8, {1: MINUS_ONE})
-    return AmalgamSpec([Q8, Q8], C2, [e, e])
+    return over_cyclic([Q8, Q8], 2, [MINUS_ONE, MINUS_ONE])
+
+
+def q8_s3_amalgam():
+    return over_cyclic([Q8, S3], 2, [MINUS_ONE, T12])
+
+
+def d4_q8_amalgam():
+    D4 = dihedral_group(4)
+    return over_cyclic([D4, Q8], 2, [by_label(D4, "r2"), MINUS_ONE])
 
 
 def z2_z_amalgam(b_col):
     """Z^2 and Z glued over Z, embedded as (2,0) on the left."""
-    from amalgam.lattice import IntMatrix
-
     Z2 = FGAbelian(2, ())
     Z1 = FGAbelian(1, ())
     C = FGAbelian(1, ())
@@ -122,8 +125,7 @@ def test_depth_law_membership():
 
 
 def test_not_perfect_s3_pair_over_a3():
-    A3 = a3_subgroup()
-    cert = not_perfect_certificate(S3, S3, A3, A3, {x: x for x in A3.elements})
+    cert = not_perfect_certificate(s3_amalgam())
     assert cert.kind == "not_perfect"
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 4
@@ -133,8 +135,7 @@ def test_not_perfect_s3_pair_over_a3():
 
 def test_not_perfect_c4_pair_over_squares():
     C4 = cyclic_group(4)
-    sq = subgroup(C4, [0, 2])
-    cert = not_perfect_certificate(C4, C4, sq, sq, {0: 0, 2: 2})
+    cert = not_perfect_certificate(over_cyclic([C4, C4], 2, [2, 2]))
     assert cert.quotient_description["abelian_invariants"] == [2, 2]
     assert cert.status == "ok"
     # C4 is nilpotent, so the subgroup-plus-commutators properness check runs
@@ -144,10 +145,7 @@ def test_not_perfect_c4_pair_over_squares():
 
 
 def test_not_perfect_quaternion_against_symmetric():
-    center = subgroup(Q8, [0, MINUS_ONE])
-    refl = subgroup(S3, [0, T12])
-    iso = {0: 0, MINUS_ONE: T12}
-    cert = not_perfect_certificate(Q8, S3, center, refl, iso)
+    cert = not_perfect_certificate(q8_s3_amalgam())
     assert cert.quotient_description["abelian_invariants"] == [2, 2]
     # only the quaternion side survives abelianization
     assert cert.quotient_description["left_quotient_order"] == 4
@@ -156,37 +154,39 @@ def test_not_perfect_quaternion_against_symmetric():
 
 
 def test_not_perfect_has_no_nilpotency_check_for_s3():
-    A3 = a3_subgroup()
-    cert = not_perfect_certificate(S3, S3, A3, A3, {x: x for x in A3.elements})
+    cert = not_perfect_certificate(s3_amalgam())
     with pytest.raises(KeyError):
         cert.check("frattini_argument")
 
 
 def test_not_perfect_rejects_whole_group():
-    A3 = a3_subgroup()
-    with pytest.raises(NotProperSubgroup):
-        not_perfect_certificate(S3, S3, whole_group(S3), A3, {})
+    C3 = cyclic_group(3)
+    with pytest.raises(NotProperSubgroup) as exc:
+        not_perfect_certificate(over_cyclic([C3, S3], 3, [1, T123]))
+    assert "first factor" in exc.value.message
 
 
 def test_not_perfect_rejects_order_mismatch():
-    center = subgroup(Q8, [0, MINUS_ONE])
-    A3 = a3_subgroup()
-    with pytest.raises(IncompatibleAmalgam):
-        not_perfect_certificate(Q8, S3, center, A3, {})
+    """C2 onto the center of Q8 but trivially into S3: copies of orders 2 and 1."""
+    C2 = cyclic_group(2)
+    trivial = GroupHom(C2, S3, (0, 0))
+    spec = AmalgamSpec([Q8, S3], C2, [hom_from_generator_images(C2, Q8, {1: MINUS_ONE}), trivial])
+    with pytest.raises(NotInjective) as exc:
+        not_perfect_certificate(spec)
+    assert exc.value.details["factor"] == 1
 
 
 def test_not_perfect_rejects_non_isomorphism():
-    center = subgroup(Q8, [0, MINUS_ONE])
-    refl = subgroup(S3, [0, T12])
-    with pytest.raises(NotIsomorphism):
-        not_perfect_certificate(Q8, S3, center, refl, {0: T12, MINUS_ONE: 0})
-    with pytest.raises(NotIsomorphism):
-        not_perfect_certificate(Q8, S3, center, refl, {0: 0})
+    """C4 sent onto the order-2 center of each Q8 is no isomorphism onto its copies."""
+    C4 = cyclic_group(4)
+    e = hom_from_generator_images(C4, Q8, {1: MINUS_ONE})
+    with pytest.raises(NotInjective) as exc:
+        not_perfect_certificate(AmalgamSpec([Q8, Q8], C4, [e, e]))
+    assert exc.value.message == "embedding into factor 0 is not injective"
 
 
 def test_not_perfect_claims_do_not_affect_status():
-    A3 = a3_subgroup()
-    cert = not_perfect_certificate(S3, S3, A3, A3, {x: x for x in A3.elements})
+    cert = not_perfect_certificate(s3_amalgam())
     cert.claims.append("an arbitrary unverified remark")
     assert cert.status == "ok"
 
@@ -195,7 +195,7 @@ def test_not_perfect_claims_do_not_affect_status():
 
 
 def test_cyclic_quaternion_separates():
-    cert = cyclic_amalgam_quotient(Q8, Q8, MINUS_ONE, MINUS_ONE)
+    cert = cyclic_amalgam_quotient(q8_amalgam())
     assert cert.kind == "cyclic_amalgam"
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 32
@@ -205,7 +205,7 @@ def test_cyclic_quaternion_separates():
 
 def test_cyclic_symmetric_fails_to_separate():
     """The identified quotient of two S3 copies kills the amalgam itself."""
-    cert = cyclic_amalgam_quotient(S3, S3, T123, T123)
+    cert = cyclic_amalgam_quotient(s3_amalgam())
     assert cert.status == "checks-failed"
     assert cert.quotient_description["order"] == 4
     assert not cert.check("separates_C").passed
@@ -215,7 +215,7 @@ def test_cyclic_symmetric_fails_to_separate():
 def test_cyclic_c6_squares_separate():
     C6 = cyclic_group(6)
     g2 = C6.power(1, 2)
-    cert = cyclic_amalgam_quotient(C6, C6, g2, g2)
+    cert = cyclic_amalgam_quotient(over_cyclic([C6, C6], 3, [g2, g2]))
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 12
     assert cert.quotient_description["left_depth"] == 1
@@ -223,13 +223,23 @@ def test_cyclic_c6_squares_separate():
 
 
 def test_cyclic_rejects_order_mismatch():
-    with pytest.raises(OrderMismatch):
-        cyclic_amalgam_quotient(Q8, S3, MINUS_ONE, T123)
+    """The generator of C4 goes to -1 (order 2) in Q8 and to a generator of C4."""
+    C4 = cyclic_group(4)
+    spec = AmalgamSpec(
+        [Q8, C4],
+        C4,
+        [hom_from_generator_images(C4, Q8, {1: MINUS_ONE}), identity_hom(C4)],
+    )
+    with pytest.raises(NotInjective) as exc:
+        cyclic_amalgam_quotient(spec)
+    assert exc.value.details["factor"] == 0
 
 
 def test_cyclic_rejects_identity_generators():
+    C1 = cyclic_group(1)
+    e = GroupHom(C1, Q8, (0,))
     with pytest.raises(IdentityElement):
-        cyclic_amalgam_quotient(Q8, Q8, 0, MINUS_ONE)
+        cyclic_amalgam_quotient(AmalgamSpec([Q8, Q8], C1, [e, e]))
 
 
 def test_cyclic_rejects_unsolvable_factor():
@@ -237,20 +247,14 @@ def test_cyclic_rejects_unsolvable_factor():
     x = next(a for a in A5.elements() if A5.element_order(a) == 2)
     C2 = cyclic_group(2)
     with pytest.raises(NotSolvable):
-        cyclic_amalgam_quotient(A5, C2, x, 1)
+        cyclic_amalgam_quotient(over_cyclic([A5, C2], 2, [x, 1]))
 
 
 # ----------------------------------------------------------- central engine
 
 
-def central_embedding(G, c):
-    C2 = cyclic_group(2)
-    return C2, hom_from_generator_images(C2, G, {1: c})
-
-
 def test_central_two_quaternions():
-    C2, e = central_embedding(Q8, MINUS_ONE)
-    cert = central_amalgam_quotient([Q8, Q8], C2, [e, e])
+    cert = central_amalgam_quotient(q8_amalgam())
     assert cert.kind == "central_amalgam"
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 32
@@ -260,37 +264,22 @@ def test_central_two_quaternions():
 
 
 def test_central_dihedral_with_quaternion():
-    D4 = dihedral_group(4)
-    r2 = by_label(D4, "r2")
-    C2 = cyclic_group(2)
-    eD = hom_from_generator_images(C2, D4, {1: r2})
-    eQ = hom_from_generator_images(C2, Q8, {1: MINUS_ONE})
-    cert = central_amalgam_quotient([D4, Q8], C2, [eD, eQ])
+    cert = central_amalgam_quotient(d4_q8_amalgam())
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 32
 
 
-def test_central_single_factor_is_the_factor_itself():
-    C2, e = central_embedding(Q8, MINUS_ONE)
-    cert = central_amalgam_quotient([Q8], C2, [e])
-    assert cert.status == "ok"
-    assert cert.quotient_description["order"] == 8
-
-
 def test_central_triple_quaternion_order():
     """Three factors of order 8 over order-2 centers: 8^3 / 2^2 = 128."""
-    C2, e = central_embedding(Q8, MINUS_ONE)
-    cert = central_amalgam_quotient([Q8, Q8, Q8], C2, [e, e, e])
+    cert = central_amalgam_quotient(over_cyclic([Q8, Q8, Q8], 2, [MINUS_ONE] * 3))
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 128
     assert cert.check("order_count").passed
 
 
 def test_central_rejects_noncentral_image():
-    C2 = cyclic_group(2)
-    e = hom_from_generator_images(C2, S3, {1: T12})
     with pytest.raises(NotCentral) as exc:
-        central_amalgam_quotient([S3, S3], C2, [e, e])
+        central_amalgam_quotient(over_cyclic([S3, S3], 2, [T12, T12]))
     assert exc.value.details["factor"] == 0
 
 
@@ -298,7 +287,7 @@ def test_central_rejects_noncentral_image():
 
 
 def test_double_s3_over_a3_all_checks_pass():
-    cert = double_retraction([S3, S3], [identity_hom(S3), identity_hom(S3)], a3_subgroup())
+    cert = double_retraction(s3_amalgam())
     assert cert.kind == "double"
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 6
@@ -318,33 +307,41 @@ def test_double_kernel_word_dies_but_is_not_trivial():
 
 
 def test_double_full_amalgamation_degenerates():
-    cert = double_retraction(
-        [S3, S3], [identity_hom(S3), identity_hom(S3)], whole_group(S3)
-    )
+    e = identity_hom(S3)
+    cert = double_retraction(AmalgamSpec([S3, S3], S3, [e, e]))
     assert cert.status == "ok"
     assert "0 of them" in cert.check("kernel_generators").evidence
 
 
 def test_double_triple_quaternion():
-    isos = [identity_hom(Q8)] * 3
-    cert = double_retraction([Q8, Q8, Q8], isos, subgroup(Q8, [0, MINUS_ONE]))
+    cert = double_retraction(over_cyclic([Q8, Q8, Q8], 2, [MINUS_ONE] * 3))
     assert cert.status == "ok"
     assert cert.quotient_description["copies"] == 3
 
 
 def test_double_rejects_non_isomorphism():
-    collapse = GroupHom(S3, S3, (0,) * 6)
-    with pytest.raises(NotIsomorphism) as exc:
-        double_retraction([S3, S3], [identity_hom(S3), collapse], a3_subgroup())
+    """The amalgam collapses in the second copy, so the copies are not
+    identified by an isomorphism."""
+    C2 = cyclic_group(2)
+    e = hom_from_generator_images(C2, S3, {1: T12})
+    collapse = GroupHom(C2, S3, (0, 0))
+    with pytest.raises(NotInjective) as exc:
+        double_retraction(AmalgamSpec([S3, S3], C2, [e, collapse]))
     assert exc.value.details["factor"] == 1
 
 
 # ---------------------------------------------------- abelian-factor engine
 
 
+def lattice_pair(a_col):
+    """Z^len(a_col) and Z glued over Z, its generator sent to a_col and to 1."""
+    Z1 = FGAbelian(1, ())
+    eA = IntMatrix.from_columns([a_col], rows=len(a_col))
+    return AmalgamSpec([FGAbelian(len(a_col), ()), Z1], Z1, [eA, IntMatrix.identity(1)])
+
+
 def test_abelian_index_two_quotient():
-    Z2 = FGAbelian(2, ())
-    cert = abelian_factor_quotient(Z2, LatticeSubgroup.from_vectors(2, [(2, 0)]))
+    cert = abelian_factor_quotient(z2_z_amalgam((1,)), 0)
     assert cert.kind == "abelian_factor"
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 2
@@ -354,43 +351,47 @@ def test_abelian_index_two_quotient():
     assert cert.check("epimorphism").passed
 
 
+def test_abelian_maps_the_other_factor_trivially():
+    cert = abelian_factor_quotient(z2_z_amalgam((1,)), 0)
+    assert cert.hom.apply_word([(1, (1,))]) == cert.target.identity
+    assert cert.hom.apply_word([(0, (1, 0))]) != cert.target.identity
+
+
 def test_abelian_full_sublattice_is_vacuous():
     Z2 = FGAbelian(2, ())
-    cert = abelian_factor_quotient(Z2, LatticeSubgroup.from_vectors(2, [(1, 0), (0, 1)]))
+    I2 = IntMatrix.identity(2)
+    cert = abelian_factor_quotient(AmalgamSpec([Z2, Z2], Z2, [I2, I2]), 0)
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 1
     assert cert.claims[0] == "vacuous quotient"
 
 
 def test_abelian_rank_one_index_three():
-    Z1 = FGAbelian(1, ())
-    cert = abelian_factor_quotient(Z1, LatticeSubgroup.from_vectors(1, [(3,)]))
+    cert = abelian_factor_quotient(lattice_pair((3,)), 0)
     assert cert.quotient_description["order"] == 3
     assert cert.quotient_description["abelian_invariants"] == [3]
 
 
-def test_abelian_accepts_raw_vectors():
-    Z2 = FGAbelian(2, ())
-    cert = abelian_factor_quotient(Z2, [(2, 0), (0, 2)])
-    assert cert.quotient_description["order"] == 4
-    assert cert.quotient_description["abelian_invariants"] == [2, 2]
-
-
 def test_abelian_rejects_torsion():
+    Z1 = FGAbelian(1, ())
+    A = FGAbelian(1, (2,))
+    spec = AmalgamSpec(
+        [A, Z1], Z1, [IntMatrix.from_columns([(0, 1)], rows=2), IntMatrix.identity(1)]
+    )
     with pytest.raises(NotTorsionFree):
-        abelian_factor_quotient(FGAbelian(1, (2,)), [(1, 0)])
-
-
-def test_abelian_rejects_group_passed_as_sublattice():
-    Z2 = FGAbelian(2, ())
-    with pytest.raises(EmbeddingTypeMismatch):
-        abelian_factor_quotient(Z2, FGAbelian(1, ()))
+        abelian_factor_quotient(spec, 0)
 
 
 def test_abelian_rejects_rank_mismatch():
-    Z2 = FGAbelian(2, ())
-    with pytest.raises(EmbeddingTypeMismatch):
-        abelian_factor_quotient(Z2, LatticeSubgroup.from_vectors(3, [(1, 0, 0)]))
+    """A three-row embedding into the rank-2 factor is an invalid amalgam."""
+    Z1 = FGAbelian(1, ())
+    e = IntMatrix.from_columns([(1, 0, 0)], rows=3)
+    spec = AmalgamSpec([FGAbelian(2, ()), Z1], Z1, [e, IntMatrix.identity(1)])
+    with pytest.raises(IncompatibleAmalgam) as exc:
+        validate_spec(spec)
+    assert exc.value.message == "embedding into factor 0 must be a 2x1 matrix"
+    with pytest.raises(IncompatibleAmalgam):
+        abelian_factor_quotient(spec, 0)
 
 
 # ----------------------------------------------------------------- dispatch
