@@ -354,12 +354,12 @@ def derived_length(G: FiniteGroup) -> int:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    members = [
-        x
-        for x in G.elements()
-        if all(G.mul(x, g) == G.mul(g, x) for g in G.elements())
-    ]
-    return Subgroup(G, tuple(sorted(members)))
+    """Elements commuting with every small generator, hence with all of G."""
+    t = G.table
+    central = np.ones(G.order, dtype=bool)
+    for g in G.small_generators:
+        central &= t[:, g] == t[g, :]
+    return Subgroup(G, tuple(np.flatnonzero(central).tolist()))
 
 
 def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:

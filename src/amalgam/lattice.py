@@ -99,7 +99,7 @@ class IntMatrix:
         v = list(v)
         if len(v) != self.cols:
             raise InvalidGroup(f"vector length {len(v)} does not match {self.cols} columns")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
 
 
 def int_det(M: IntMatrix) -> int:
@@ -427,18 +427,25 @@ class LatticeSubgroup:
 
     def reduce(self, v) -> tuple[int, ...]:
         """Canonical representative of v modulo this lattice."""
-        rep, _ = self._forward(v)
-        return rep
+        return self._forward(v)[0]
 
     def contains(self, v) -> bool:
         return all(x == 0 for x in self.reduce(v))
 
+    def decompose(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rep, coeffs) with rep = reduce(v) and v - rep = gens * coeffs.
+
+        _forward gives rep = v - H*q. In lower-triangular column HNF a later
+        pivot column is zero in every earlier pivot row, so _forward(H*q)
+        takes the same quotients q and leaves 0: solve(v - rep) is U*q.
+        """
+        rep, q = self._forward(v)
+        return rep, self._U.matvec(q)
+
     def solve(self, v):
         """Integer coefficients over the original generators, or None."""
-        rep, y = self._forward(v)
-        if any(rep):
-            return None
-        return self._U.matvec(y)
+        rep, coeffs = self.decompose(v)
+        return None if any(rep) else coeffs
 
     def __eq__(self, other):
         return (

@@ -1,11 +1,21 @@
 """Independent brute-force verifiers for the word engine and the witnesses.
 
-This module deliberately reimplements word reduction by confluent rewriting,
-sharing only group arithmetic and the canonical coset-representative
-definitions with the engine, none of its reduction code or precomputed
-tables. It also extracts finite presentations of amalgams with finite
-factors and searches for separating homomorphisms into a fixed catalog of
-small solvable groups.
+This module deliberately reimplements word reduction by rewriting, sharing
+only group arithmetic and the canonical coset-representative definitions
+with the engine, none of its reduction code or precomputed tables. Three
+rules rewrite a word: drop an identity syllable, merge two neighbours from
+the same factor, and move the amalgam part of a syllable into its left
+neighbour (or the head). oracle_reduce applies them in two linear passes.
+Left to right, a stack drops identities and merges neighbours. Right to
+left, a cursor keeps every syllable to its right a nonidentity
+representative, with no two neighbours there from one factor: it splits
+the syllable under it into amalgam part and representative by scanning
+the coset, pushes the amalgam part one slot left, and if the syllable
+vanishes merges the two neighbours that now touch and moves onto the
+merged syllable. Normal forms are unique, so this is the fixpoint of the
+rules. The module also extracts finite presentations of amalgams with
+finite factors and searches for separating homomorphisms into a fixed
+catalog of small solvable groups.
 """
 
 from __future__ import annotations
@@ -97,10 +107,8 @@ class _OracleFactor:
                 if self.group.mul(g, t) == x:
                     return (c if self._c_finite else ()), t
             raise AssertionError("coset scan failed")
-        t = self.group.canon(self._lat.reduce(x))
-        delta = tuple(a - b for a, b in zip(self.group.canon(x), t))
-        coeffs = self._lat.solve(delta)
-        return tuple(coeffs[: self._c_rank]), t
+        rep, coeffs = self._lat.decompose(x)
+        return coeffs[: self._c_rank], self.group.canon(rep)
 
     def embed_amalgam(self, c):
         if self.finite:
@@ -111,26 +119,14 @@ class _OracleFactor:
 
 
 def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
-    """Normal form by rewriting to a fixpoint; same contract as reduce."""
+    """Normal form by rewriting in two linear passes; same contract as reduce."""
     from .words import validate_spec
 
     validate_spec(spec)
     C = spec.amalgam
-    if isinstance(C, FiniteGroup):
-        c_identity = C.identity
-        c_mul = C.mul
-
-        def c_is_id(c):
-            return c == C.identity
-
-    else:
-        c_identity = C.zero()
-        c_mul = C.add
-
-        def c_is_id(c):
-            return all(v == 0 for v in c)
-
+    c_one = head = C.identity if isinstance(C, FiniteGroup) else C.zero()
     helpers = [_OracleFactor(spec, i) for i in range(len(spec.factors))]
+    # left to right: drop identity syllables, merge same-factor neighbours
     syls = []
     for syl in word:
         if not isinstance(syl, (tuple, list)) or len(syl) != 2:
@@ -138,44 +134,29 @@ def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
         i, x = syl
         if not isinstance(i, int) or not 0 <= i < len(helpers):
             raise ElementOutOfRange(f"factor index {i!r} out of range")
-        syls.append((i, helpers[i].check(x)))
+        x = helpers[i].check(x)
+        if syls and syls[-1][0] == i:
+            x = helpers[i].mul(syls.pop()[1], x)
+        if not helpers[i].is_identity(x):
+            syls.append((i, x))
 
-    head = c_identity
-    changed = True
-    while changed:
-        changed = False
-        # drop identity syllables
-        for p, (i, x) in enumerate(syls):
-            if helpers[i].is_identity(x):
-                del syls[p]
-                changed = True
-                break
-        if changed:
-            continue
-        # merge adjacent syllables from the same factor
-        for p in range(len(syls) - 1):
-            if syls[p][0] == syls[p + 1][0]:
-                i = syls[p][0]
-                syls[p : p + 2] = [(i, helpers[i].mul(syls[p][1], syls[p + 1][1]))]
-                changed = True
-                break
-        if changed:
-            continue
-        # push the rightmost amalgam part one slot to the left
-        for p in range(len(syls) - 1, -1, -1):
-            i, x = syls[p]
-            c, t = helpers[i].decompose(x)
-            if c_is_id(c):
-                continue
-            syls[p] = (i, t)
-            if p == 0:
-                head = c_mul(head, c)
-            else:
-                j, y = syls[p - 1]
-                syls[p - 1] = (j, helpers[j].mul(y, helpers[j].embed_amalgam(c)))
-            changed = True
-            break
-    return NormalForm(head=head, tail=tuple(syls))
+    # right to left: everything in `tail` is a representative, neighbours
+    # there come from different factors, and so do syls[-1] and tail[-1]
+    tail = []  # reversed
+    while syls:
+        i, x = syls.pop()
+        c, t = helpers[i].decompose(x)
+        if not syls:
+            head = c  # nothing to its left
+        elif c != c_one:  # push the amalgam part one slot left
+            j, y = syls[-1]
+            syls[-1] = (j, helpers[j].mul(y, helpers[j].embed_amalgam(c)))
+        if not helpers[i].is_identity(t):
+            tail.append((i, t))
+        elif syls and tail and syls[-1][0] == tail[-1][0]:  # x vanished
+            j, y = syls[-1]
+            syls[-1] = (j, helpers[j].mul(y, tail.pop()[1]))
+    return NormalForm(head=head, tail=tuple(reversed(tail)))
 
 
 # ------------------------------------------------------------- presentations

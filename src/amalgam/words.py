@@ -174,13 +174,10 @@ class _AbelianAdapter:
         return self.group.canon(self.embed.matvec(c))
 
     def decompose(self, x):
-        x = self.group.canon(x)
-        t = self.group.canon(self._membership.reduce(x))
-        delta = tuple(a - b for a, b in zip(x, t))
-        coeffs = self._membership.solve(delta)
-        if coeffs is None:
-            raise IncompatibleAmalgam("transversal decomposition failed")
-        return tuple(coeffs[: self._c_rank]), t
+        # x - rep lies in the lattice; injectivity makes the C part of its
+        # coefficients unique, so canonicalising rep does not change it.
+        rep, coeffs = self._membership.decompose(x)
+        return coeffs[: self._c_rank], self.group.canon(rep)
 
     def label(self, x) -> str:
         return self.group.element_label(x)

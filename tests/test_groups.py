@@ -361,6 +361,30 @@ def test_center_s3_trivial():
     assert center(symmetric_group(3)).order == 1
 
 
+def _brute_center(G):
+    return tuple(
+        x for x in G.elements() if all(G.mul(x, g) == G.mul(g, x) for g in G.elements())
+    )
+
+
+def test_center_matches_brute_force_on_the_catalog():
+    from amalgam.oracle import solvable_catalog
+
+    for G in solvable_catalog(24):
+        Z = center(G)
+        assert Z.parent is G
+        assert Z.elements == _brute_center(G)
+
+
+def test_center_matches_brute_force_on_q8_cubed():
+    G, _, _ = direct_product([quaternion_group()] * 3)
+    t = G.table
+    # every column compared with every row: |G|^2 products
+    brute = tuple(np.flatnonzero((t == t.T).all(axis=1)).tolist())
+    assert center(G).elements == brute
+    assert len(brute) == 8
+
+
 def test_all_subgroups_q8():
     subs = all_subgroups(quaternion_group())
     assert [s.order for s in subs] == [1, 2, 4, 4, 4, 8]

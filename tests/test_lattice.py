@@ -262,6 +262,43 @@ def test_lattice_subgroup_reduce_is_coset_invariant():
         assert L.reduce(v) == L.reduce(w)
 
 
+def _reference_decompose(L, v):
+    rep = L.reduce(v)
+    return rep, L.solve(tuple(a - b for a, b in zip(v, rep)))
+
+
+def test_lattice_subgroup_decompose_matches_reduce_and_solve():
+    """Seeded vectors over ranks 1-4, torsion columns and dependent generators."""
+    rng = random.Random(20261019)
+    cases = dependent = 0
+    for r in range(1, 5):
+        for _ in range(12):
+            gens = [
+                tuple(rng.randint(-6, 6) for _ in range(r))
+                for _ in range(rng.randint(0, r + 1))
+            ]
+            torsion = [
+                tuple(d if i == k else 0 for i in range(r))
+                for k, d in enumerate(rng.sample([2, 3, 4, 6], rng.randint(0, min(r, 4))))
+            ]
+            cols = gens + torsion
+            if cols and rng.random() < 0.5:
+                # a generator that is a combination of the others
+                a, b = rng.choice(cols), rng.choice(cols)
+                cols.append(tuple(2 * x - y for x, y in zip(a, b)))
+            L = LatticeSubgroup.from_vectors(r, cols)
+            dependent += L.rank < len(cols)
+            for _ in range(10):
+                v = tuple(rng.randint(-40, 40) for _ in range(r))
+                rep, coeffs = L.decompose(v)
+                assert (rep, coeffs) == _reference_decompose(L, v)
+                combo = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(r)]
+                assert tuple(x + y for x, y in zip(rep, combo)) == v
+                cases += 1
+    assert cases == 480
+    assert dependent >= 10
+
+
 # -- finite_index_split -------------------------------------------------------
 
 def test_split_worked_example():

@@ -7,12 +7,14 @@ import random
 import pytest
 
 from amalgam.errors import (
+    AmalgamError,
     BudgetExceeded,
     ElementOutOfRange,
     IncompatibleAmalgam,
     TooManyGenerators,
 )
 from amalgam.groups import (
+    FiniteGroup,
     GroupHom,
     cyclic_group,
     hom_from_generator_images,
@@ -24,6 +26,7 @@ from amalgam.lattice import FGAbelian, IntMatrix
 from amalgam.oracle import (
     DEFAULT_BUDGET,
     Presentation,
+    _OracleFactor,
     amalgam_word_to_generators,
     exhaustive_injectivity,
     hom_search,
@@ -31,10 +34,13 @@ from amalgam.oracle import (
     presentation_of_amalgam,
     solvable_catalog,
 )
-from amalgam.words import AmalgamSpec, reduce
+from amalgam.words import AmalgamSpec, NormalForm, reduce, validate_spec
 from amalgam.certs import Certificate, Check, Exhausted, WitnessResult, witness_result
 from amalgam.dsl import parse, resolve
 from amalgam.groups import derived_length
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def by_label(G, s):
@@ -147,6 +153,169 @@ def test_oracle_reduce_is_idempotent_on_tails():
         nf = oracle_reduce(spec, word)
         again = oracle_reduce(spec, list(nf.tail))
         assert again.tail == nf.tail
+
+
+# The restart-after-every-rewrite loop oracle_reduce used to run, kept as
+# the reference for its two-pass rewriting: the same three rules, applied one
+# at a time from the left of the word until none applies.
+def reference_oracle_reduce(spec, word):
+    validate_spec(spec)
+    C = spec.amalgam
+    if isinstance(C, FiniteGroup):
+        c_identity, c_mul = C.identity, C.mul
+
+        def c_is_id(c):
+            return c == C.identity
+
+    else:
+        c_identity, c_mul = C.zero(), C.add
+
+        def c_is_id(c):
+            return all(v == 0 for v in c)
+
+    helpers = [_OracleFactor(spec, i) for i in range(len(spec.factors))]
+    syls = [(i, helpers[i].check(x)) for i, x in word]
+    head = c_identity
+    changed = True
+    while changed:
+        changed = False
+        # drop identity syllables
+        for p, (i, x) in enumerate(syls):
+            if helpers[i].is_identity(x):
+                del syls[p]
+                changed = True
+                break
+        if changed:
+            continue
+        # merge adjacent syllables from the same factor
+        for p in range(len(syls) - 1):
+            if syls[p][0] == syls[p + 1][0]:
+                i = syls[p][0]
+                syls[p : p + 2] = [(i, helpers[i].mul(syls[p][1], syls[p + 1][1]))]
+                changed = True
+                break
+        if changed:
+            continue
+        # push the rightmost amalgam part one slot to the left
+        for p in range(len(syls) - 1, -1, -1):
+            i, x = syls[p]
+            c, t = helpers[i].decompose(x)
+            if c_is_id(c):
+                continue
+            syls[p] = (i, t)
+            if p == 0:
+                head = c_mul(head, c)
+            else:
+                j, y = syls[p - 1]
+                syls[p - 1] = (j, helpers[j].mul(y, helpers[j].embed_amalgam(c)))
+            changed = True
+            break
+    return NormalForm(head=head, tail=tuple(syls))
+
+
+def torsion_amalgam():
+    """(Z/6 x Z) and (Z/4 x Z) over Z, embedded off the torsion coordinate."""
+    C = FGAbelian(1, ())
+    eA = IntMatrix.from_columns([(1, 2)], rows=2)
+    eB = IntMatrix.from_columns([(2, 3)], rows=2)
+    return AmalgamSpec([FGAbelian(1, (6,)), FGAbelian(1, (4,))], C, [eA, eB])
+
+
+def rank0_amalgam():
+    """S3 and Z/4 x Z over the trivial group."""
+    return AmalgamSpec([symmetric_group(3), FGAbelian(1, (4,))], FGAbelian(0, ()), [None, None])
+
+
+def _amalgams_for_reference():
+    cases = []
+    for path in sorted(GOLDEN.glob("*.amg")):
+        try:
+            resolved = resolve(parse(path.read_text()))
+        except AmalgamError:
+            continue  # bad_point.amg is a parse-error case
+        cases += [(f"{path.stem}.{name}", spec) for name, spec in resolved.amalgams.items()]
+    return cases + [("torsion", torsion_amalgam()), ("rank0", rank0_amalgam())]
+
+
+def _random_syllable(rng, spec, i):
+    """A random element of factor i; a quarter of them lie in the image of C."""
+    f, C = spec.factors[i], spec.amalgam
+    if rng.random() < 0.25:
+        if isinstance(C, FiniteGroup):
+            c = rng.randrange(C.order)
+        else:
+            c = tuple(rng.randint(-2, 2) for _ in range(C.ngens))
+        return i, spec.adapter(i).embed_c(c)
+    if isinstance(f, FiniteGroup):
+        return i, rng.randrange(f.order)
+    return i, tuple(rng.randint(-3, 3) for _ in range(f.ngens))
+
+
+def _inverse(spec, word):
+    return [
+        (i, spec.factors[i].inv(x) if isinstance(x, int) else spec.factors[i].neg(x))
+        for i, x in reversed(word)
+    ]
+
+
+REFERENCE_AMALGAMS = _amalgams_for_reference()
+
+
+@pytest.mark.parametrize("name,spec", REFERENCE_AMALGAMS, ids=[n for n, _ in REFERENCE_AMALGAMS])
+def test_oracle_matches_reference_loop(name, spec):
+    """Seeded words, and words followed by a prefix of their own inverse."""
+    rng = random.Random(name)
+    for _ in range(150):
+        word = [
+            _random_syllable(rng, spec, rng.randrange(len(spec.factors)))
+            for _ in range(rng.randrange(13))
+        ]
+        if rng.random() < 0.5:
+            inverse = _inverse(spec, word)
+            word += inverse[: rng.randint(0, len(inverse))]
+        nf = oracle_reduce(spec, word)
+        assert nf == reference_oracle_reduce(spec, word), word
+        assert nf == reduce(spec, word), word
+
+
+def test_reference_amalgams_cover_every_golden_spec():
+    names = [n for n, _ in REFERENCE_AMALGAMS]
+    assert len(names) == 11
+    assert {"lattice.M", "mixed.G", "q8_triple.T", "torsion", "rank0"} <= set(names)
+
+
+class _TooMuchWork(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fname", ["q8_pair.amg", "lattice.amg"])
+def test_oracle_work_is_linear(fname, monkeypatch):
+    """decompose plus is_identity calls stay within 4n on a 1,000-syllable word."""
+    spec, _ = _golden_amalgam(fname)
+    rng = random.Random(1000)
+    n = 1000
+    # alternating factors, so the left-to-right pass merges nothing up front
+    word = [_random_syllable(rng, spec, k % len(spec.factors)) for k in range(n)]
+    calls = [0]
+
+    def counted(method):
+        def wrapper(self, x):
+            calls[0] += 1
+            if calls[0] > 4 * n:
+                raise _TooMuchWork
+            return method(self, x)
+
+        return wrapper
+
+    monkeypatch.setattr(_OracleFactor, "decompose", counted(_OracleFactor.decompose))
+    monkeypatch.setattr(_OracleFactor, "is_identity", counted(_OracleFactor.is_identity))
+    nf = oracle_reduce(spec, word)
+    assert 0 < calls[0] <= 4 * n
+    calls[0] = 0
+    with pytest.raises(_TooMuchWork):
+        reference_oracle_reduce(spec, word)
+    monkeypatch.undo()
+    assert nf == reduce(spec, word)
 
 
 # ------------------------------------------------------------- presentation
@@ -330,8 +499,6 @@ def test_search_rejects_bad_words():
 
 
 # ------------------------------------------ hom_search against its reference
-
-GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _reference_orders(P):
