@@ -137,7 +137,7 @@ def _nf_json(spec: AmalgamSpec, nf) -> dict:
         "head": _element_json(nf.head),
         "head_label": spec.c_ops.label(nf.head),
         "tail": word_to_json(nf.tail),
-        "tail_labels": [spec.adapter(i).label(x) for i, x in nf.tail],
+        "tail_labels": [spec.adapters[i].label(x) for i, x in nf.tail],
         "is_identity": nf.is_identity(),
         "length": nf.length,
     }

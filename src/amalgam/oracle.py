@@ -120,9 +120,6 @@ class _OracleFactor:
 
 def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
     """Normal form by rewriting in two linear passes; same contract as reduce."""
-    from .words import validate_spec
-
-    validate_spec(spec)
     C = spec.amalgam
     c_one = head = C.identity if isinstance(C, FiniteGroup) else C.zero()
     helpers = [_OracleFactor(spec, i) for i in range(len(spec.factors))]
@@ -180,9 +177,6 @@ class Presentation:
 
 def presentation_of_amalgam(spec: AmalgamSpec, cap: int = GENERATOR_CAP) -> Presentation:
     """Generators: every nonidentity factor element; relators: Cayley + glue."""
-    from .words import validate_spec
-
-    validate_spec(spec)
     if not all(isinstance(f, FiniteGroup) for f in spec.factors):
         raise IncompatibleAmalgam("presentations need finite factors")
     gen_of = {}

@@ -1,12 +1,12 @@
 """Theorem engines: one per separation strategy.
 
-Each engine is one public builder on an AmalgamSpec. It validates the spec,
-raises the error the engine's check returns for it, builds the quotient its
-strategy calls for, induces the homomorphism out of the amalgam, runs the
-verification exhaustively, and packages a Certificate. ENGINES holds every
-engine once, in dispatch order: a check that says whether it applies to an
-amalgam and a build that calls its builder. The certify command and
-separate_element both go through that table.
+Each engine is one public builder on an AmalgamSpec, which was checked when
+it was constructed. The builder raises the error the engine's check returns
+for the spec, builds the quotient its strategy calls for, induces the
+homomorphism out of the amalgam, runs the verification exhaustively, and
+packages a Certificate. ENGINES holds every engine once, in dispatch order: a
+check that says whether it applies to an amalgam and a build that calls its
+builder. The certify command and separate_element both go through that table.
 
 separate_element runs each applicable engine in turn and returns the first
 witness with a verified-solvable target, or NotSeparatedAtLevelOne. An engine
@@ -56,12 +56,11 @@ from .lattice import FGAbelian, IntMatrix, LatticeSubgroup, finite_index_split, 
 from .words import (
     AbelianToFiniteHom,
     AmalgamSpec,
+    InducedHom,
     build_generalized_central_product,
     central_product_error,
     identified_direct_quotient,
-    induce_hom,
     reduce,
-    validate_spec,
     word_label,
 )
 
@@ -91,14 +90,14 @@ def _gen_images(G: FiniteGroup, apply, label) -> list:
 
 # ------------------------------------------------------------------ checks
 #
-# An engine's check returns the error that rules it out for a validated
-# amalgam, or None: its builder raises that error, separate_element skips the
-# engine without a note. abelian-factor's check also takes the factor.
+# An engine's check returns the error that rules it out for an amalgam (every
+# AmalgamSpec is checked when constructed), or None: its builder raises that
+# error, separate_element skips the engine without a note. abelian-factor's
+# check also takes the factor.
 
 
 def _admit(spec, check, *args):
-    """Validate spec, then raise the error check returns for it, if any."""
-    validate_spec(spec)
+    """Raise the error check returns for spec, if any."""
     if error := check(spec, *args):
         raise error
 
@@ -254,7 +253,7 @@ def cyclic_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDE
     inj_b = GroupHom(Bbar, P, tuple(range(Bbar.order)))
     map_a = proj_a.then(inj_a).then(proj_d)
     map_b = proj_b.then(inj_b).then(proj_d)
-    hom = induce_hom(spec, D, [map_a, map_b])
+    hom = InducedHom(spec, D, [map_a, map_b])
 
     dying = [j for j in range(1, k) if map_a.apply(A.power(a, j)) == D.identity]
     separates = not dying
@@ -308,7 +307,7 @@ def central_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORD
     _admit(spec, _central_check)
     factors, C = spec.factors, spec.amalgam
     S, mus = build_generalized_central_product(factors, C, spec.embeddings, max_order)
-    hom = induce_hom(spec, S, mus)
+    hom = InducedHom(spec, S, mus)
 
     inj_evidence = []
     all_inj = True
@@ -381,7 +380,7 @@ def double_retraction(spec: AmalgamSpec) -> Certificate:
     factors = spec.factors
     A0 = factors[0]
     ident = identity_hom(A0)
-    psi = induce_hom(spec, A0, [ident] * len(factors))
+    psi = InducedHom(spec, A0, [ident] * len(factors))
 
     retract = all(psi.apply_word([(0, x)]) == x for x in A0.elements())
     inj_all = True
@@ -450,6 +449,8 @@ def _quotient_of_lattice(split) -> FiniteGroup:
 
 
 def _abelian_check(spec, factor):
+    if factor not in range(len(spec.factors)):
+        return IncompatibleAmalgam(f"factor index {factor} out of range", factor=factor)
     A, e = spec.factors[factor], spec.embeddings[factor]
     if not isinstance(A, FGAbelian) or not isinstance(e, (IntMatrix, type(None))):
         return EmbeddingTypeMismatch(f"factor {factor} is not a lattice with a matrix embedding")
@@ -514,7 +515,7 @@ def abelian_factor_quotient(spec: AmalgamSpec, factor: int) -> Certificate:
         ],
         claims=claims,
         target=Q,
-        hom=induce_hom(spec, Q, maps),
+        hom=InducedHom(spec, Q, maps),
     )
 
 
@@ -584,7 +585,6 @@ def separate_element(
     unknown = [e for e in engines if e not in ENGINE_ORDER]
     if unknown:
         raise ValueError(f"unknown engines: {unknown}")
-    validate_spec(spec)
     if reduce(spec, w).is_identity():
         raise IdentityWord("the word reduces to the identity")
     label = word_label(spec, w)

@@ -230,35 +230,61 @@ class _AbelianCOps:
 
 
 class AmalgamSpec:
-    """Factors, a common subgroup, and its embeddings into each factor.
+    """Factors, a common subgroup C, and injective embeddings of C into each.
 
-    Call validate_spec (or any word operation, which validates lazily) to
-    check injectivity and compute the coset transversal data.
+    Construction is validation: it checks every embedding and computes the
+    coset transversal data, so an AmalgamSpec that exists is an amalgam.
+    A non-injective embedding raises NotInjective here.
     """
 
     def __init__(self, factors, amalgam, embeddings):
-        self.factors = list(factors)
-        self.amalgam = amalgam
-        self.embeddings = list(embeddings)
-        self._adapters = None
-        self._c_ops = None
-
-    @property
-    def validated(self) -> bool:
-        return self._adapters is not None
-
-    def adapter(self, i):
-        validate_spec(self)
-        return self._adapters[i]
-
-    @property
-    def c_ops(self):
-        validate_spec(self)
-        return self._c_ops
+        self.factors = tuple(factors)
+        self.amalgam = C = amalgam
+        self.embeddings = tuple(embeddings)
+        if len(self.factors) < 2:
+            raise IncompatibleAmalgam(f"need at least two factors, got {len(self.factors)}")
+        if len(self.embeddings) != len(self.factors):
+            raise IncompatibleAmalgam(
+                f"{len(self.embeddings)} embeddings for {len(self.factors)} factors"
+            )
+        adapters = []
+        if isinstance(C, FiniteGroup):
+            self.c_ops = _FiniteCOps(C)
+            for i, (f, e) in enumerate(zip(self.factors, self.embeddings)):
+                if not isinstance(f, FiniteGroup):
+                    raise IncompatibleAmalgam(
+                        "a finite amalgam requires finite factors", factor=i
+                    )
+                if not isinstance(e, GroupHom) or e.source != C or e.target != f:
+                    raise IncompatibleAmalgam(
+                        f"embedding {i} must be a homomorphism from the amalgam into factor {i}",
+                        factor=i,
+                    )
+                adapters.append(_FiniteAdapter(f, e, i))
+        elif isinstance(C, FGAbelian):
+            if C.torsion:
+                raise IncompatibleAmalgam("an abelian amalgam subgroup must be free")
+            k = C.free_rank
+            self.c_ops = _AbelianCOps(C)
+            for i, (f, e) in enumerate(zip(self.factors, self.embeddings)):
+                if isinstance(f, FiniteGroup):
+                    if k != 0:
+                        raise IncompatibleAmalgam(
+                            "a finite factor cannot contain a free abelian subgroup",
+                            factor=i,
+                        )
+                    adapters.append(_FiniteAdapter(f, None, i))
+                elif isinstance(f, FGAbelian):
+                    adapters.append(_AbelianAdapter(f, e, i, k))
+                else:
+                    raise IncompatibleAmalgam(f"unsupported factor type {type(f)!r}", factor=i)
+        else:
+            raise IncompatibleAmalgam(f"unsupported amalgam type {type(C)!r}")
+        self.adapters = tuple(adapters)
 
     def transversal_reps(self, i):
         """Finite factors only: the full list of coset representatives."""
-        ad = self.adapter(i)
+        ad = self.adapters[i]
         if ad.kind != "finite":
             raise IncompatibleAmalgam("abelian factors have no finite transversal list")
         return ad.reps
@@ -272,57 +298,15 @@ class AmalgamSpec:
 
 
 def validate_spec(spec: AmalgamSpec) -> AmalgamSpec:
-    """Verify an amalgam's data and precompute transversals. Idempotent."""
-    if spec.validated:
-        return spec
-    if len(spec.factors) < 2:
-        raise IncompatibleAmalgam(f"need at least two factors, got {len(spec.factors)}")
-    if len(spec.embeddings) != len(spec.factors):
-        raise IncompatibleAmalgam(
-            f"{len(spec.embeddings)} embeddings for {len(spec.factors)} factors"
-        )
-    C = spec.amalgam
-    adapters = []
-    if isinstance(C, FiniteGroup):
-        c_ops = _FiniteCOps(C)
-        for i, (f, e) in enumerate(zip(spec.factors, spec.embeddings)):
-            if not isinstance(f, FiniteGroup):
-                raise IncompatibleAmalgam(
-                    "a finite amalgam requires finite factors", factor=i
-                )
-            if not isinstance(e, GroupHom) or e.source != C or e.target != f:
-                raise IncompatibleAmalgam(
-                    f"embedding {i} must be a homomorphism from the amalgam into factor {i}",
-                    factor=i,
-                )
-            adapters.append(_FiniteAdapter(f, e, i))
-    elif isinstance(C, FGAbelian):
-        if C.torsion:
-            raise IncompatibleAmalgam("an abelian amalgam subgroup must be free")
-        k = C.free_rank
-        c_ops = _AbelianCOps(C)
-        for i, (f, e) in enumerate(zip(spec.factors, spec.embeddings)):
-            if isinstance(f, FiniteGroup):
-                if k != 0:
-                    raise IncompatibleAmalgam(
-                        "a finite factor cannot contain a free abelian subgroup",
-                        factor=i,
-                    )
-                adapters.append(_FiniteAdapter(f, None, i))
-            elif isinstance(f, FGAbelian):
-                adapters.append(_AbelianAdapter(f, e, i, k))
-            else:
-                raise IncompatibleAmalgam(f"unsupported factor type {type(f)!r}", factor=i)
-    else:
-        raise IncompatibleAmalgam(f"unsupported amalgam type {type(C)!r}")
-    spec._adapters = adapters
-    spec._c_ops = c_ops
+    """Return spec unchanged: an AmalgamSpec is checked when it is constructed.
+
+    Kept because perfbench calls and traces it by name.
+    """
     return spec
 
 
 def check_word(spec: AmalgamSpec, word) -> list:
     """Canonicalize and range-check a raw word's syllables."""
-    validate_spec(spec)
     out = []
     for syl in word:
         if not isinstance(syl, (tuple, list)) or len(syl) != 2:
@@ -330,17 +314,16 @@ def check_word(spec: AmalgamSpec, word) -> list:
         i, x = syl
         if not isinstance(i, int) or not 0 <= i < len(spec.factors):
             raise ElementOutOfRange(f"factor index {i!r} out of range")
-        out.append((i, spec.adapter(i).check(x)))
+        out.append((i, spec.adapters[i].check(x)))
     return out
 
 
 def identity_form(spec: AmalgamSpec) -> NormalForm:
-    validate_spec(spec)
     return NormalForm(head=spec.c_ops.identity, tail=())
 
 
 def _left_mul_syllable(spec: AmalgamSpec, i: int, x, nf: NormalForm) -> NormalForm:
-    ad = spec.adapter(i)
+    ad = spec.adapters[i]
     cops = spec.c_ops
     y = ad.mul(x, ad.embed_c(nf.head))
     c1, t1 = ad.decompose(y)
@@ -367,7 +350,6 @@ def reduce(spec: AmalgamSpec, word) -> NormalForm:
 
 
 def multiply(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
-    validate_spec(spec)
     nf = v
     for i, t in reversed(u.tail):
         nf = _left_mul_syllable(spec, i, t, nf)
@@ -376,22 +358,20 @@ def multiply(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
 
 def nf_to_word(spec: AmalgamSpec, nf: NormalForm) -> list:
     """A raw word evaluating to nf (head embedded through factor 0)."""
-    validate_spec(spec)
     word = []
     if not spec.c_ops.is_identity(nf.head):
-        word.append((0, spec.adapter(0).embed_c(nf.head)))
+        word.append((0, spec.adapters[0].embed_c(nf.head)))
     word.extend(nf.tail)
     return word
 
 
 def invert(spec: AmalgamSpec, nf: NormalForm) -> NormalForm:
-    validate_spec(spec)
     word = []
     for i, t in reversed(nf.tail):
-        word.append((i, spec.adapter(i).inv(t)))
+        word.append((i, spec.adapters[i].inv(t)))
     c_inv = spec.c_ops.inv(nf.head)
     if not spec.c_ops.is_identity(c_inv):
-        word.append((0, spec.adapter(0).embed_c(c_inv)))
+        word.append((0, spec.adapters[0].embed_c(c_inv)))
     return reduce(spec, word)
 
 
@@ -401,14 +381,13 @@ def words_equal(spec: AmalgamSpec, w1, w2) -> bool:
 
 def is_normal_form(spec: AmalgamSpec, nf: NormalForm) -> bool:
     """Structural check of the normal-form invariants."""
-    validate_spec(spec)
     try:
         spec.c_ops.check(nf.head)
     except ElementOutOfRange:
         return False
     prev = None
     for i, t in nf.tail:
-        ad = spec.adapter(i)
+        ad = spec.adapters[i]
         if ad.is_identity(t):
             return False
         c, rep = ad.decompose(t)
@@ -421,10 +400,9 @@ def is_normal_form(spec: AmalgamSpec, nf: NormalForm) -> bool:
 
 
 def word_label(spec: AmalgamSpec, word) -> str:
-    validate_spec(spec)
     if not word:
         return "1"
-    return " * ".join(f"{i}:{spec.adapter(i).label(x)}" for i, x in word)
+    return " * ".join(f"{i}:{spec.adapters[i].label(x)}" for i, x in word)
 
 
 class InducedHom:
@@ -435,7 +413,6 @@ class InducedHom:
     """
 
     def __init__(self, spec: AmalgamSpec, target: FiniteGroup, maps):
-        validate_spec(spec)
         self.spec = spec
         self.target = target
         self.maps = list(maps)
@@ -462,7 +439,7 @@ class InducedHom:
         if isinstance(C, FiniteGroup):
             for c in C.elements():
                 imgs = {
-                    self.maps[i].apply(spec.adapter(i).embed_c(c))
+                    self.maps[i].apply(spec.adapters[i].embed_c(c))
                     for i in range(len(spec.factors))
                 }
                 if len(imgs) != 1:
@@ -474,7 +451,7 @@ class InducedHom:
             for j in range(k):
                 basis = tuple(1 if t == j else 0 for t in range(k))
                 imgs = {
-                    self.maps[i].apply(spec.adapter(i).embed_c(basis))
+                    self.maps[i].apply(spec.adapters[i].embed_c(basis))
                     for i in range(len(spec.factors))
                 }
                 if len(imgs) != 1:
@@ -526,10 +503,6 @@ class AbelianToFiniteHom:
         for coord, img in zip(v, self.gen_images):
             out = self.target.mul(out, self.target.power(img, coord))
         return out
-
-
-def induce_hom(spec: AmalgamSpec, target: FiniteGroup, maps) -> InducedHom:
-    return InducedHom(spec, target, maps)
 
 
 def central_product_error(factors, C, embeddings):

@@ -44,7 +44,7 @@ from amalgam.oracle import (
     presentation_of_amalgam,
     solvable_catalog,
 )
-from amalgam.words import AmalgamSpec, induce_hom, reduce
+from amalgam.words import AmalgamSpec, InducedHom, reduce
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -285,7 +285,7 @@ def test_criterion_08_double_retraction():
 
     ctx, spec = _golden_spec("s3_pair")
     S3 = ctx.groups["S3"]
-    psi = induce_hom(spec, S3, [identity_hom(S3), identity_hom(S3)])
+    psi = InducedHom(spec, S3, [identity_hom(S3), identity_hom(S3)])
     x = S3.labels.index("(1 2)")
     kernel_word = [(0, x), (1, S3.inv(x))]
     assert psi.apply_word(kernel_word) == S3.identity

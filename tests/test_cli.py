@@ -350,10 +350,20 @@ BUILDERS = {
 )
 def test_builder_raises_the_certify_error(theorem, spec, expected):
     text = WRONG_SHAPE_SPECS.get(spec) or pathlib.Path(spec.replace("{G}", str(GOLDEN))).read_text()
-    (amalgam,) = resolve(parse(text)).amalgams.values()
     with pytest.raises(AmalgamError) as exc:
+        (amalgam,) = resolve(parse(text)).amalgams.values()
         BUILDERS[theorem](amalgam)
     assert (exc.value.code, exc.value.message) == expected
+
+
+def test_noninjective_amalgam_fails_a_command_that_never_reads_it(tmp_path):
+    # resolve builds every declared amalgam, and building one checks it
+    path = tmp_path / "q8_c4_noninjective.amg"
+    path.write_text(WRONG_SHAPE_SPECS["q8_c4_noninjective"])
+    code, out, err = _run(["derived-series", "--spec", str(path), "--group", "Q8"])
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert (error["code"], error["message"]) == NOT_INJECTIVE_0
 
 
 # ------------------------------------------------------ witness engine limits

@@ -34,7 +34,7 @@ from amalgam.oracle import (
     presentation_of_amalgam,
     solvable_catalog,
 )
-from amalgam.words import AmalgamSpec, NormalForm, reduce, validate_spec
+from amalgam.words import AmalgamSpec, NormalForm, reduce
 from amalgam.certs import Certificate, Check, Exhausted, WitnessResult, witness_result
 from amalgam.dsl import parse, resolve
 from amalgam.groups import derived_length
@@ -159,7 +159,6 @@ def test_oracle_reduce_is_idempotent_on_tails():
 # the reference for its two-pass rewriting: the same three rules, applied one
 # at a time from the left of the word until none applies.
 def reference_oracle_reduce(spec, word):
-    validate_spec(spec)
     C = spec.amalgam
     if isinstance(C, FiniteGroup):
         c_identity, c_mul = C.identity, C.mul
@@ -245,7 +244,7 @@ def _random_syllable(rng, spec, i):
             c = rng.randrange(C.order)
         else:
             c = tuple(rng.randint(-2, 2) for _ in range(C.ngens))
-        return i, spec.adapter(i).embed_c(c)
+        return i, spec.adapters[i].embed_c(c)
     if isinstance(f, FiniteGroup):
         return i, rng.randrange(f.order)
     return i, tuple(rng.randint(-3, 3) for _ in range(f.ngens))

@@ -34,7 +34,7 @@ from amalgam.witness import (
     not_perfect_certificate,
     separate_element,
 )
-from amalgam.words import AmalgamSpec, induce_hom, reduce, validate_spec
+from amalgam.words import AmalgamSpec, InducedHom, reduce
 
 
 def by_label(G, s):
@@ -170,9 +170,8 @@ def test_not_perfect_rejects_order_mismatch():
     """C2 onto the center of Q8 but trivially into S3: copies of orders 2 and 1."""
     C2 = cyclic_group(2)
     trivial = GroupHom(C2, S3, (0, 0))
-    spec = AmalgamSpec([Q8, S3], C2, [hom_from_generator_images(C2, Q8, {1: MINUS_ONE}), trivial])
     with pytest.raises(NotInjective) as exc:
-        not_perfect_certificate(spec)
+        AmalgamSpec([Q8, S3], C2, [hom_from_generator_images(C2, Q8, {1: MINUS_ONE}), trivial])
     assert exc.value.details["factor"] == 1
 
 
@@ -225,13 +224,12 @@ def test_cyclic_c6_squares_separate():
 def test_cyclic_rejects_order_mismatch():
     """The generator of C4 goes to -1 (order 2) in Q8 and to a generator of C4."""
     C4 = cyclic_group(4)
-    spec = AmalgamSpec(
-        [Q8, C4],
-        C4,
-        [hom_from_generator_images(C4, Q8, {1: MINUS_ONE}), identity_hom(C4)],
-    )
     with pytest.raises(NotInjective) as exc:
-        cyclic_amalgam_quotient(spec)
+        AmalgamSpec(
+            [Q8, C4],
+            C4,
+            [hom_from_generator_images(C4, Q8, {1: MINUS_ONE}), identity_hom(C4)],
+        )
     assert exc.value.details["factor"] == 0
 
 
@@ -300,7 +298,7 @@ def test_double_s3_over_a3_all_checks_pass():
 
 def test_double_kernel_word_dies_but_is_not_trivial():
     spec = s3_amalgam()
-    psi = induce_hom(spec, S3, [identity_hom(S3), identity_hom(S3)])
+    psi = InducedHom(spec, S3, [identity_hom(S3), identity_hom(S3)])
     w = [(0, T12), (1, T12)]
     assert psi.apply_word(w) == 0
     assert not reduce(spec, w).is_identity()
@@ -386,12 +384,18 @@ def test_abelian_rejects_rank_mismatch():
     """A three-row embedding into the rank-2 factor is an invalid amalgam."""
     Z1 = FGAbelian(1, ())
     e = IntMatrix.from_columns([(1, 0, 0)], rows=3)
-    spec = AmalgamSpec([FGAbelian(2, ()), Z1], Z1, [e, IntMatrix.identity(1)])
     with pytest.raises(IncompatibleAmalgam) as exc:
-        validate_spec(spec)
+        AmalgamSpec([FGAbelian(2, ()), Z1], Z1, [e, IntMatrix.identity(1)])
     assert exc.value.message == "embedding into factor 0 must be a 2x1 matrix"
-    with pytest.raises(IncompatibleAmalgam):
-        abelian_factor_quotient(spec, 0)
+
+
+@pytest.mark.parametrize("factor", [5, -2])
+def test_abelian_rejects_factor_index_out_of_range(factor):
+    """lattice.amg's amalgam has factors 0 and 1; -2 must not wrap around."""
+    with pytest.raises(IncompatibleAmalgam) as exc:
+        abelian_factor_quotient(lattice_pair((2, 0)), factor)
+    assert exc.value.message == f"factor index {factor} out of range"
+    assert exc.value.details["factor"] == factor
 
 
 # ----------------------------------------------------------------- dispatch

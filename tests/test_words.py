@@ -27,15 +27,16 @@ from amalgam.groups import (
     symmetric_group,
 )
 from amalgam.lattice import FGAbelian, IntMatrix
+from amalgam.witness import separate_element
 from amalgam.words import (
     AbelianToFiniteHom,
     AmalgamSpec,
+    InducedHom,
     NormalForm,
     build_generalized_central_product,
     check_word,
     identified_direct_quotient,
     identity_form,
-    induce_hom,
     invert,
     is_normal_form,
     multiply,
@@ -43,6 +44,7 @@ from amalgam.words import (
     reduce,
     validate_spec,
     words_equal,
+    _FiniteAdapter,
 )
 
 
@@ -58,7 +60,7 @@ def q8_amalgam() -> AmalgamSpec:
     C = cyclic_group(2)
     minus_one = by_label(Q, "-1")
     e = hom_from_generator_images(C, Q, {1: minus_one})
-    return validate_spec(AmalgamSpec([Q, Q], C, [e, e]))
+    return AmalgamSpec([Q, Q], C, [e, e])
 
 
 def s3_amalgam() -> AmalgamSpec:
@@ -66,7 +68,7 @@ def s3_amalgam() -> AmalgamSpec:
     C = cyclic_group(3)
     rot = by_label(S, "(1 2 3)")
     e = hom_from_generator_images(C, S, {1: rot})
-    return validate_spec(AmalgamSpec([S, S], C, [e, e]))
+    return AmalgamSpec([S, S], C, [e, e])
 
 
 def mixed_amalgam(b_stride: int = 2) -> AmalgamSpec:
@@ -76,7 +78,7 @@ def mixed_amalgam(b_stride: int = 2) -> AmalgamSpec:
     C = FGAbelian(1, ())
     eA = IntMatrix.from_rows([[2], [0]])
     eB = IntMatrix.from_rows([[b_stride]])
-    return validate_spec(AmalgamSpec([A, B], C, [eA, eB]))
+    return AmalgamSpec([A, B], C, [eA, eB])
 
 
 def random_word(spec: AmalgamSpec, rng: random.Random, max_len: int) -> list:
@@ -99,7 +101,7 @@ def test_validate_needs_two_factors():
     C = cyclic_group(2)
     e = hom_from_generator_images(C, Q, {1: by_label(Q, "-1")})
     with pytest.raises(IncompatibleAmalgam):
-        validate_spec(AmalgamSpec([Q], C, [e]))
+        AmalgamSpec([Q], C, [e])
 
 
 def test_validate_counts_embeddings():
@@ -107,7 +109,7 @@ def test_validate_counts_embeddings():
     C = cyclic_group(2)
     e = hom_from_generator_images(C, Q, {1: by_label(Q, "-1")})
     with pytest.raises(IncompatibleAmalgam):
-        validate_spec(AmalgamSpec([Q, Q], C, [e]))
+        AmalgamSpec([Q, Q], C, [e])
 
 
 def test_validate_rejects_noninjective_embedding():
@@ -116,7 +118,7 @@ def test_validate_rejects_noninjective_embedding():
     collapse = hom_from_generator_images(C, Q, {1: Q.identity})
     good = hom_from_generator_images(C, Q, {1: by_label(Q, "-1")})
     with pytest.raises(NotInjective):
-        validate_spec(AmalgamSpec([Q, Q], C, [collapse, good]))
+        AmalgamSpec([Q, Q], C, [collapse, good])
 
 
 def test_validate_rejects_torsion_amalgam():
@@ -124,7 +126,7 @@ def test_validate_rejects_torsion_amalgam():
     C = FGAbelian(0, (2,))
     e = IntMatrix.from_rows([[1]])
     with pytest.raises(IncompatibleAmalgam):
-        validate_spec(AmalgamSpec([A, A], C, [e, e]))
+        AmalgamSpec([A, A], C, [e, e])
 
 
 def test_validate_rejects_finite_factor_with_free_amalgam():
@@ -132,7 +134,7 @@ def test_validate_rejects_finite_factor_with_free_amalgam():
     C = FGAbelian(1, ())
     e = IntMatrix.from_rows([[1]])
     with pytest.raises(IncompatibleAmalgam):
-        validate_spec(AmalgamSpec([A, symmetric_group(3)], C, [e, e]))
+        AmalgamSpec([A, symmetric_group(3)], C, [e, e])
 
 
 def test_validate_rejects_embedding_into_torsion():
@@ -143,7 +145,27 @@ def test_validate_rejects_embedding_into_torsion():
     eA = IntMatrix.from_rows([[1], [0]])
     eB = IntMatrix.from_rows([[1]])
     with pytest.raises(NotInjective):
-        validate_spec(AmalgamSpec([A, B], C, [eA, eB]))
+        AmalgamSpec([A, B], C, [eA, eB])
+
+
+def test_construction_builds_the_adapters_once(monkeypatch):
+    built = []
+    init = _FiniteAdapter.__init__
+
+    def counting_init(self, *args):
+        built.append(args[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(_FiniteAdapter, "__init__", counting_init)
+    spec = q8_amalgam()
+    assert built == [0, 1]
+    assert isinstance(spec.adapters, tuple)
+    assert validate_spec(spec) is spec
+    i, j = by_label(spec.factors[0], "i"), by_label(spec.factors[1], "j")
+    nf = reduce(spec, [(0, i), (1, j)])
+    multiply(spec, nf, nf)
+    separate_element(spec, [(0, i), (1, j)])
+    assert built == [0, 1]
 
 
 def test_check_word_rejects_bad_factor_and_element():
@@ -161,7 +183,7 @@ def test_check_word_rejects_bad_factor_and_element():
 
 def test_q8_transversal():
     spec = q8_amalgam()
-    ad = spec.adapter(0)
+    ad = spec.adapters[0]
     # the embedded C2 is {1, -1}; cosets pair each element with its negative
     assert spec.transversal_reps(0) == (0, 2, 4, 6)
     for x in spec.factors[0].elements():
@@ -176,13 +198,13 @@ def test_s3_transversal_has_index_two():
     assert len(reps) == 2
     assert reps[0] == 0
     for t in reps:
-        c, rep = spec.adapter(0).decompose(t)
+        c, rep = spec.adapters[0].decompose(t)
         assert rep == t and c == spec.amalgam.identity
 
 
 def test_decompose_embedded_elements():
     spec = s3_amalgam()
-    ad = spec.adapter(1)
+    ad = spec.adapters[1]
     C = spec.amalgam
     for c in C.elements():
         got_c, got_t = ad.decompose(ad.embed_c(c))
@@ -353,8 +375,8 @@ def test_torsion_factor_decomposition():
     C = FGAbelian(1, ())
     eA = IntMatrix.from_rows([[0], [1]])
     eB = IntMatrix.from_rows([[2]])
-    spec = validate_spec(AmalgamSpec([A, B], C, [eA, eB]))
-    c, t = spec.adapter(0).decompose((3, 5))
+    spec = AmalgamSpec([A, B], C, [eA, eB])
+    c, t = spec.adapters[0].decompose((3, 5))
     assert c == (5,)
     assert t == (3, 0)
     assert reduce(spec, [(0, (0, 7))]) == NormalForm(head=(7,), tail=())
@@ -365,9 +387,7 @@ def test_finite_factor_with_trivial_amalgam():
     S = symmetric_group(3)
     B = FGAbelian(1, ())
     C = FGAbelian(0, ())
-    spec = validate_spec(
-        AmalgamSpec([S, B], C, [None, IntMatrix.zeros(1, 0)])
-    )
+    spec = AmalgamSpec([S, B], C, [None, IntMatrix.zeros(1, 0)])
     flip = by_label(S, "(1 2)")
     word = [(0, flip), (1, (3,)), (0, flip), (1, (-3,))]
     nf = reduce(spec, word)
@@ -386,7 +406,7 @@ def test_induced_hom_respects_reduction():
     C = spec.amalgam
     e = spec.embeddings[0]
     S, mus = build_generalized_central_product([Q, Q], C, [e, e])
-    hom = induce_hom(spec, S, mus)
+    hom = InducedHom(spec, S, mus)
     rng = random.Random(707)
     for _ in range(150):
         w = random_word(spec, rng, 8)
@@ -400,9 +420,9 @@ def test_induced_hom_rejects_disagreement():
     C = cyclic_group(4)
     ei = hom_from_generator_images(C, Q, {1: by_label(Q, "i")})
     ej = hom_from_generator_images(C, Q, {1: by_label(Q, "j")})
-    spec = validate_spec(AmalgamSpec([Q, Q], C, [ei, ej]))
+    spec = AmalgamSpec([Q, Q], C, [ei, ej])
     with pytest.raises(DisagreeOnAmalgam):
-        induce_hom(spec, Q, [identity_hom(Q), identity_hom(Q)])
+        InducedHom(spec, Q, [identity_hom(Q), identity_hom(Q)])
 
 
 def test_induced_hom_mixed_factors():
@@ -410,7 +430,7 @@ def test_induced_hom_mixed_factors():
     T = cyclic_group(2)
     mA = AbelianToFiniteHom(spec.factors[0], T, (1, 0))
     mB = AbelianToFiniteHom(spec.factors[1], T, (1,))
-    hom = induce_hom(spec, T, [mA, mB])
+    hom = InducedHom(spec, T, [mA, mB])
     assert hom.apply_word([(0, (1, 0)), (1, (1,))]) == 0
     assert hom.apply_word([(0, (1, 1))]) == 1
     rng = random.Random(808)
