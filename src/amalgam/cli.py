@@ -413,6 +413,13 @@ def run(argv, out, err) -> int:
             raise _UsageError(f"{args.command} needs --word")
         if args.command == "equal" and len(args.word or []) != 2:
             raise _UsageError("equal needs exactly two --word flags")
+        for flag, value, least in (
+            ("--budget", args.budget, 1),
+            ("--catalog-max", args.catalog_max, 2),
+            ("--max-order", args.max_order, 1),
+        ):
+            if value < least:
+                raise _UsageError(f"{flag} must be at least {least}; got {value}")
         if args.command == "snf":
             ctx = None
         else:

@@ -170,6 +170,8 @@ class Presentation:
 
     def __post_init__(self):
         for rel in self.relators:
+            if not rel:
+                raise ElementOutOfRange("empty relator")
             for g in rel:
                 if g == 0 or abs(g) > self.ngens:
                     raise ElementOutOfRange(f"relator letter {g} out of range")
@@ -325,6 +327,14 @@ def _compile_relator(rel) -> tuple | None:
     return None
 
 
+def _search_stopped(budget: int) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"search stopped after {budget} assignment nodes",
+        budget=budget,
+        nodes=budget + 1,
+    )
+
+
 def hom_search(
     P: Presentation,
     catalog: SolvableCatalog,
@@ -348,9 +358,15 @@ def hom_search(
     lists: a relator a*b = 1, a*b*c^-1 = 1 or a*b^-1 = 1 (the Cayley and
     gluing relators of presentation_of_amalgam) is one lookup
     rows[images[a]][images[b]] compared with images[c], and any other
-    relator, like w, is evaluated letter by letter. A hit is then verified
-    again on every relator through FiniteGroup.mul, independently of the
-    compiled checks.
+    relator, like w, is evaluated letter by letter. The first such relator
+    that names k exactly once fixes k's image from lower generators, so k
+    is solved, not tried: only that image can pass, and it alone is
+    checked against k's other relators. The candidates before and after it
+    in k's list still count as failed nodes, so node counts, the budget
+    and the first witness are those of trying every candidate in turn,
+    though a skipped node costs next to nothing. A negative budget is a
+    ValueError. A hit is then verified again on every relator through
+    FiniteGroup.mul, independently of the compiled checks.
     """
     w = tuple(w)
     if not w:
@@ -358,15 +374,20 @@ def hom_search(
     for g in w:
         if g == 0 or abs(g) > P.ngens:
             raise ElementOutOfRange(f"word letter {g} out of range")
+    if budget < 0:
+        raise ValueError(f"negative search budget {budget}")
     n = P.ngens
     orders = _generator_orders(P)
     triples = [[] for _ in range(n + 1)]
     others = [[] for _ in range(n + 1)]
+    solvers = [None] * (n + 1)
     for rel in P.relators:
         k = max(abs(g) for g in rel)
         compiled = _compile_relator(rel)
         if compiled is None:
             others[k].append(rel)
+        elif solvers[k] is None and compiled.count(k) == 1:
+            solvers[k] = compiled
         else:
             triples[k].append(compiled)
     w_depth = max(abs(g) for g in w)
@@ -376,14 +397,17 @@ def hom_search(
         inv = target.inverses.tolist()
         e = target.identity
         elem_orders = [target.element_order(x) for x in target.elements()]
-        candidates = [
-            [
-                x
-                for x in target.elements()
-                if orders[k] is None or orders[k] % elem_orders[x] == 0
+        # per generator: its candidates, and each element's place among them
+        by_order = {}
+        for order in set(orders):
+            cands = [
+                x for x in target.elements() if order is None or order % elem_orders[x] == 0
             ]
-            for k in range(n + 1)
-        ]
+            places = [-1] * target.order
+            for p, x in enumerate(cands):
+                places[x] = p
+            by_order[order] = (cands, places)
+        candidates = [by_order[order] for order in orders]
         images = [e] * (n + 1)
 
         def value(letters):
@@ -397,26 +421,40 @@ def hom_search(
             if k > n:
                 return True
             lookups, rest, at_word = triples[k], others[k], k == w_depth
-            for x in candidates[k]:
+            cands, places = candidates[k]
+            after = 0
+            if solvers[k] is not None:
+                a, b, c = solvers[k]
+                if c == k:
+                    x = rows[images[a]][images[b]]
+                elif a == k:
+                    x = rows[images[c]][inv[images[b]]]
+                else:
+                    x = rows[inv[images[a]]][images[c]]
+                p = places[x]
+                if p < 0:  # every candidate fails the solver relator
+                    after, cands = len(cands), ()
+                else:  # the p candidates before x fail; the loop tries x
+                    nodes += p
+                    after, cands = len(cands) - p - 1, (x,)
+            for x in cands:
                 nodes += 1
                 if nodes > budget:
-                    raise BudgetExceeded(
-                        f"search stopped after {budget} assignment nodes",
-                        budget=budget,
-                        nodes=nodes,
-                    )
+                    raise _search_stopped(budget)
                 images[k] = x
                 for a, b, c in lookups:
                     if rows[images[a]][images[b]] != images[c]:
                         break
                 else:
-                    if (
-                        all(value(rel) == e for rel in rest)
-                        and not (at_word and value(w) == e)
-                        and assign(k + 1)
-                    ):
+                    if rest and any(value(rel) != e for rel in rest):
+                        continue
+                    if at_word and value(w) == e:
+                        continue
+                    if assign(k + 1):
                         return True
-            images[k] = e
+            nodes += after  # the candidates after x fail
+            if nodes > budget:
+                raise _search_stopped(budget)
             return False
 
         if not assign(1):

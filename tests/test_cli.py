@@ -411,6 +411,38 @@ def test_budget_stops_oracle_without_an_error():
     assert doc["reason"] == "oracle: budget-exceeded: search stopped after 10 assignment nodes"
 
 
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [
+        ("--budget", "0", 1),
+        ("--budget", "-5", 1),
+        ("--catalog-max", "1", 2),
+        ("--catalog-max", "0", 2),
+        ("--catalog-max", "-3", 2),
+        ("--max-order", "0", 1),
+        ("--max-order", "-1", 1),
+    ],
+)
+def test_senseless_search_limits_are_usage_errors(flag, value, least):
+    code, out, err = _run(["witness", "--spec", "{G}/s3_pair.amg", "--word", "quad",
+                           "--engines", "oracle", flag, value])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "usage-error",
+        "message": f"{flag} must be at least {least}; got {value}",
+    }
+
+
+def test_smallest_search_limits_are_accepted():
+    code, out, err = _run(["witness", "--spec", "{G}/s3_pair.amg", "--word", "t",
+                           "--engines", "oracle", "--budget", "1", "--catalog-max", "2",
+                           "--max-order", "1"])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["reason"] == (
+        "oracle: budget-exceeded: search stopped after 1 assignment nodes"
+    )
+
+
 # S4xC2 (order 48) doubled over C4; both factors are one group object
 S4XC2_PAIR = (
     "group G = perm 6 { (1 2); (1 2 3 4); (5 6) }\n"

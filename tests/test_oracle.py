@@ -347,6 +347,13 @@ def test_presentation_trivial_amalgam_has_no_identifications():
     assert len(P.relators) == 50
 
 
+def test_presentation_rejects_empty_relators():
+    with pytest.raises(ElementOutOfRange):
+        Presentation(ngens=1, relators=((),))
+    with pytest.raises(ElementOutOfRange):
+        Presentation(ngens=2, relators=((1, 1), ()))
+
+
 def test_presentation_generator_cap():
     with pytest.raises(TooManyGenerators):
         presentation_of_amalgam(s3_amalgam(), cap=5)
@@ -473,6 +480,14 @@ def test_search_budget_is_enforced():
     w = amalgam_word_to_generators(P, [(0, c), (1, S3.inv(c))])
     with pytest.raises(BudgetExceeded):
         hom_search(P, cat, w, budget=10)
+
+
+def test_search_rejects_a_negative_budget():
+    spec = s3_amalgam()
+    P = presentation_of_amalgam(spec)
+    w = amalgam_word_to_generators(P, [(0, by_label(spec.factors[0], "(1 2)"))])
+    with pytest.raises(ValueError):
+        hom_search(P, solvable_catalog(8), w, budget=-1)
 
 
 def test_search_is_deterministic():
@@ -704,6 +719,102 @@ def test_search_on_second_derived_words_keeps_its_node_counts():
         with pytest.raises(BudgetExceeded) as info:
             hom_search(P, cat, gw)
         assert info.value.details == {"budget": DEFAULT_BUDGET, "nodes": DEFAULT_BUDGET + 1}
+
+
+def _reference_at_every_budget(P, cat, w, nodes, **kwargs):
+    """reference_hom_search's outcome at each budget, from two reference runs.
+
+    The reference tries the same nodes in the same order whatever the
+    budget, so it stops at budget + 1 below `nodes` and gives the outcome
+    of a full run from `nodes` on; the two runs pin `nodes` as that count.
+    """
+    final = _outcome(reference_hom_search, P, cat, w, nodes, **kwargs)
+    assert "budget-exceeded" not in final
+    assert _outcome(reference_hom_search, P, cat, w, nodes - 1, **kwargs) == {
+        "budget-exceeded": f"search stopped after {nodes - 1} assignment nodes",
+        "budget": nodes - 1,
+        "nodes": nodes,
+    }
+
+    def outcome(budget):
+        if budget >= nodes:
+            return final
+        return {
+            "budget-exceeded": f"search stopped after {budget} assignment nodes",
+            "budget": budget,
+            "nodes": budget + 1,
+        }
+
+    return outcome
+
+
+GOLDEN_WORD = {name: (spec, w) for name, spec, w in GOLDEN_WORDS}
+
+
+def test_search_matches_reference_at_every_budget():
+    """Node bookkeeping of solved generators, around the first witness and the end.
+
+    s3_pair.quad finds its witness in D3 at node 541 of solvable_catalog(8),
+    so every budget up to it stops on some node of the way there: the first
+    candidate of a level, its solved one or its last. s3_pair.loop exhausts
+    the same catalog in 2810 nodes; every 37th budget samples that run.
+    """
+    for name, nodes, budgets in [
+        ("s3_pair.quad", 541, range(0, 543)),
+        ("s3_pair.loop", 2810, [*range(0, 2810, 37), 2809, 2810, 2811]),
+    ]:
+        spec, w = GOLDEN_WORD[name]
+        P, cat, gw = _search_args(spec, w, 8)
+        kwargs = {"word": w, "word_label": name}
+        reference = _reference_at_every_budget(P, cat, gw, nodes, **kwargs)
+        for budget in budgets:
+            got = _outcome(hom_search, P, cat, gw, budget, **kwargs)
+            assert got == reference(budget), (name, budget)
+        for budget in budgets[::37]:
+            assert reference(budget) == _outcome(
+                reference_hom_search, P, cat, gw, budget, **kwargs
+            ), (name, budget)
+
+
+def test_search_can_end_on_the_candidates_after_a_solved_image():
+    """Squares are trivial in C2, so generator 2 = 1*1 is solved as the
+    identity, the first of its two candidates, and w = 2 fails there. The
+    other candidate still counts as a failed node, and the search ends on it."""
+    P = Presentation(ngens=2, relators=((1, 1, -2),))
+    cat = solvable_catalog(2)
+    reference = _reference_at_every_budget(P, cat, (2,), 6)
+    for budget in range(0, 8):
+        assert _outcome(hom_search, P, cat, (2,), budget) == reference(budget), budget
+
+
+# <x, y | x^2, y^3, (xy)^3>, which is A4, with generators 1 = x, 2 = y and
+# four more whose image one relator fixes from lower ones: as the product
+# (3 = x*y), as the left factor (4*x = 3), as the right factor (y*5 = 4) and
+# with the identity as product (3*6 = 1). The (k, k, c) relators x*x = 1 and
+# 6*6 = 3 name k twice and stay checks; 7 = 5 is solved as well.
+SOLVED = Presentation(
+    ngens=7,
+    relators=(
+        (1, 1),
+        (2, 2, 2),
+        (1, 2, -3),
+        (4, 1, -3),
+        (2, 5, -4),
+        (3, 6),
+        (6, 6, -3),
+        (5, -7),
+    ),
+)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 5, 30, 1000, DEFAULT_BUDGET])
+@pytest.mark.parametrize("cap", [8, 12, 24])
+def test_search_matches_reference_on_solved_generators(cap, budget):
+    cat = solvable_catalog(cap)
+    for w in [(1,), (2,), (3, -4), (1, 2, -1, -2), (5, -7), (6, 6, 7)]:
+        assert _outcome(hom_search, SOLVED, cat, w, budget) == _outcome(
+            reference_hom_search, SOLVED, cat, w, budget
+        ), w
 
 
 # Besides one compiled relator (1, 1), relators the kernel evaluates letter
