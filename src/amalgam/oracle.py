@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from weakref import WeakKeyDictionary
 
 from .certs import Certificate, Check, Exhausted, witness_result
 from .errors import (
@@ -118,11 +119,23 @@ class _OracleFactor:
         return self.group.canon(self._embed.matvec(c))
 
 
+_HELPERS = WeakKeyDictionary()  # spec -> its _OracleFactor helpers
+
+
+def _oracle_factors(spec: AmalgamSpec) -> tuple:
+    """The helpers of each factor, built on first use and kept while spec lives."""
+    helpers = _HELPERS.get(spec)
+    if helpers is None:
+        helpers = tuple(_OracleFactor(spec, i) for i in range(len(spec.factors)))
+        _HELPERS[spec] = helpers
+    return helpers
+
+
 def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
     """Normal form by rewriting in two linear passes; same contract as reduce."""
     C = spec.amalgam
     c_one = head = C.identity if isinstance(C, FiniteGroup) else C.zero()
-    helpers = [_OracleFactor(spec, i) for i in range(len(spec.factors))]
+    helpers = _oracle_factors(spec)
     # left to right: drop identity syllables, merge same-factor neighbours
     syls = []
     for syl in word:
@@ -169,6 +182,10 @@ class Presentation:
     gen_elements: tuple = ()
 
     def __post_init__(self):
+        for name in ("gen_labels", "gen_elements"):
+            given = len(getattr(self, name))
+            if given not in (0, self.ngens):
+                raise ElementOutOfRange(f"{given} {name} for {self.ngens} generators")
         for rel in self.relators:
             if not rel:
                 raise ElementOutOfRange("empty relator")
@@ -327,6 +344,35 @@ def _compile_relator(rel) -> tuple | None:
     return None
 
 
+def _relators_by_level(P: Presentation) -> list:
+    """P's relators bucketed by their highest generator, in their order."""
+    levels = [[] for _ in range(P.ngens + 1)]
+    for rel in P.relators:
+        levels[max(abs(g) for g in rel)].append(rel)
+    return levels
+
+
+def _block_keys(levels, w_depth: int) -> list:
+    """R(k) for each level k that starts a block, None for every other level.
+
+    R(k) is the generators below k read by some relator whose highest
+    generator lies in k..w_depth (levels as from _relators_by_level); w
+    itself is not counted. Level k, with 2 <= k <= w_depth, starts a block
+    when k - 1 is not in R(k). The search of levels k..w_depth, w aside,
+    then depends on no earlier image outside R(k). In
+    presentation_of_amalgam's presentations the blocks start at the first
+    generator of each factor after the first, keyed by the glued elements
+    of the factors before it.
+    """
+    keys = [None] * len(levels)
+    read = set()  # signed letters
+    for k in range(w_depth, 1, -1):
+        read.update(*levels[k])
+        if k - 1 not in read and 1 - k not in read:
+            keys[k] = tuple(sorted({abs(g) for g in read if abs(g) < k}))
+    return keys
+
+
 def _search_stopped(budget: int) -> BudgetExceeded:
     return BudgetExceeded(
         f"search stopped after {budget} assignment nodes",
@@ -364,9 +410,28 @@ def hom_search(
     checked against k's other relators. The candidates before and after it
     in k's list still count as failed nodes, so node counts, the budget
     and the first witness are those of trying every candidate in turn,
-    though a skipped node costs next to nothing. A negative budget is a
-    ValueError. A hit is then verified again on every relator through
-    FiniteGroup.mul, independently of the compiled checks.
+    though a skipped node costs next to nothing.
+
+    The levels from a block's start k down to w's level (see _block_keys)
+    depend, w aside, only on the images of R(k). So per target, the first
+    visit under each (k, images of R(k)) is searched as above and, if it
+    finds no witness, kept: each leaf, a candidate at w's level that passes
+    its relators, with its images and its node offset from the block's
+    entry (the nodes spent below w's level left out), and the block's node
+    total. A later visit under the same images replays the leaves: it
+    evaluates w on each, recurses below w's level for real where w is not
+    the identity, and counts the block's nodes as if it had been searched.
+    No witness can arise between two leaves, so node counts, the budget
+    (BudgetExceeded once an offset or the total passes it) and the first
+    witness stay those of the full search; nodes per second rises without
+    any candidate getting cheaper. A replay inside an open recording adds
+    its leaves to it, which covers the nested blocks of three or more
+    factors. Each kept leaf stands for a node the block counted, and the
+    kept blocks are dropped with each target.
+
+    A negative budget is a ValueError. A hit is then verified again on
+    every relator through FiniteGroup.mul, independently of the compiled
+    checks.
     """
     w = tuple(w)
     if not w:
@@ -381,17 +446,20 @@ def hom_search(
     triples = [[] for _ in range(n + 1)]
     others = [[] for _ in range(n + 1)]
     solvers = [None] * (n + 1)
-    for rel in P.relators:
-        k = max(abs(g) for g in rel)
-        compiled = _compile_relator(rel)
-        if compiled is None:
-            others[k].append(rel)
-        elif solvers[k] is None and compiled.count(k) == 1:
-            solvers[k] = compiled
-        else:
-            triples[k].append(compiled)
+    levels = _relators_by_level(P)
+    for k, rels in enumerate(levels):
+        for rel in rels:
+            compiled = _compile_relator(rel)
+            if compiled is None:
+                others[k].append(rel)
+            elif solvers[k] is None and compiled.count(k) == 1:
+                solvers[k] = compiled
+            else:
+                triples[k].append(compiled)
     w_depth = max(abs(g) for g in w)
-    nodes = 0
+    block_keys = _block_keys(levels, w_depth)
+    first = next((k for k in range(2, w_depth + 1) if block_keys[k] is not None), 0)
+    nodes = deep = 0  # deep: the nodes spent below w's level
     for target in catalog:
         rows = target.table.tolist()
         inv = target.inverses.tolist()
@@ -409,6 +477,8 @@ def hom_search(
             by_order[order] = (cands, places)
         candidates = [by_order[order] for order in orders]
         images = [e] * (n + 1)
+        blocks = {}  # (k, images of R(k)) -> (leaves, nodes) of a block without witness
+        trail = []  # (nodes above w's level, images[first..w_depth]) per leaf in the open block
 
         def value(letters):
             out = e
@@ -416,10 +486,52 @@ def hom_search(
                 out = rows[out][images[g] if g > 0 else inv[images[-g]]]
             return out
 
-        def assign(k: int):
-            nonlocal nodes
-            if k > n:
+        def below_word():
+            """w on the images up to w_depth, then the levels below it."""
+            nonlocal deep
+            if value(w) == e:
+                return False
+            before = nodes
+            if descend[w_depth + 1](w_depth + 1):
                 return True
+            deep += nodes - before
+            return False
+
+        def block(k: int):
+            """The levels from block start k on: replayed, or searched and kept."""
+            key = (k, *[images[g] for g in block_keys[k]])
+            kept = blocks.get(key)
+            if kept is not None:
+                return replay(k, *kept)
+            start, entry = len(trail), nodes - deep
+            if search(k):
+                return True
+            leaves = [(at - entry, leaf[k - first :]) for at, leaf in trail[start:]]
+            blocks[key] = (leaves, nodes - deep - entry)
+            if k == first:
+                trail.clear()
+            return False
+
+        def replay(k: int, leaves, total: int):
+            """A block's recorded search, with w and the levels below it redone."""
+            nonlocal nodes
+            entry = nodes - deep
+            for at, leaf in leaves:
+                nodes = deep + entry + at
+                if nodes > budget:
+                    raise _search_stopped(budget)
+                images[k : w_depth + 1] = leaf
+                if k != first:  # inside the open recording of the first block
+                    trail.append((entry + at, tuple(images[first : w_depth + 1])))
+                if below_word():
+                    return True
+            nodes = deep + entry + total
+            if nodes > budget:
+                raise _search_stopped(budget)
+            return False
+
+        def search(k: int):
+            nonlocal nodes
             lookups, rest, at_word = triples[k], others[k], k == w_depth
             cands, places = candidates[k]
             after = 0
@@ -448,16 +560,23 @@ def hom_search(
                 else:
                     if rest and any(value(rel) != e for rel in rest):
                         continue
-                    if at_word and value(w) == e:
-                        continue
-                    if assign(k + 1):
+                    if at_word:
+                        if first:  # a leaf of the open recording
+                            trail.append((nodes - deep, tuple(images[first : w_depth + 1])))
+                        if below_word():
+                            return True
+                    elif descend[k + 1](k + 1):
                         return True
             nodes += after  # the candidates after x fail
             if nodes > budget:
                 raise _search_stopped(budget)
             return False
 
-        if not assign(1):
+        # descend[k](k) assigns generators k, k + 1, ... depth first and is
+        # True once all are assigned with every check passed
+        descend = [search if key is None else block for key in block_keys]
+        descend.append(lambda k: True)
+        if not descend[1](1):
             continue
         # post-hoc verification, independent of the pruning order
         relators_ok = all(

@@ -26,7 +26,10 @@ from amalgam.lattice import FGAbelian, IntMatrix
 from amalgam.oracle import (
     DEFAULT_BUDGET,
     Presentation,
+    SolvableCatalog,
     _OracleFactor,
+    _block_keys,
+    _relators_by_level,
     amalgam_word_to_generators,
     exhaustive_injectivity,
     hom_search,
@@ -317,6 +320,23 @@ def test_oracle_work_is_linear(fname, monkeypatch):
     assert nf == reduce(spec, word)
 
 
+def test_oracle_reduce_builds_its_helpers_once_per_spec(monkeypatch):
+    built = []
+    init = _OracleFactor.__init__
+
+    def counted(self, spec, i):
+        built.append(i)
+        init(self, spec, i)
+
+    monkeypatch.setattr(_OracleFactor, "__init__", counted)
+    spec, words = _golden_amalgam("lattice.amg")
+    for w in [[], *words.values()]:
+        assert oracle_reduce(spec, w) == reduce(spec, w)
+    assert built == [0, 1]
+    oracle_reduce(_golden_amalgam("lattice.amg")[0], [])  # a new spec builds its own
+    assert built == [0, 1, 0, 1]
+
+
 # ------------------------------------------------------------- presentation
 
 
@@ -352,6 +372,15 @@ def test_presentation_rejects_empty_relators():
         Presentation(ngens=1, relators=((),))
     with pytest.raises(ElementOutOfRange):
         Presentation(ngens=2, relators=((1, 1), ()))
+
+
+@pytest.mark.parametrize("field", ["gen_labels", "gen_elements"])
+def test_presentation_rejects_labels_or_elements_of_another_length(field):
+    with pytest.raises(ElementOutOfRange):
+        Presentation(ngens=2, relators=((1, 1),), **{field: ("a",)})
+    with pytest.raises(ElementOutOfRange):
+        Presentation(ngens=1, relators=((1, 1),), **{field: ("a", "b")})
+    assert getattr(Presentation(ngens=1, relators=((1, 1),), **{field: ("a",)}), field) == ("a",)
 
 
 def test_presentation_generator_cap():
@@ -633,17 +662,18 @@ def _golden_amalgam(fname):
     return spec, {name: word for name, (_, word) in resolved.words.items()}
 
 
+def _commutator(spec, x, y):
+    return x + y + _inverse(spec, x) + _inverse(spec, y)
+
+
+def _syllable(spec, i, label):
+    return [(i, spec.factors[i].labels.index(label))]
+
+
 def _second_derived(spec, a1, b1, a2, b2):
     """[[a1, b1], [a2, b2]] for single-syllable words given as (factor, label)."""
-
-    def inverse(word):
-        return [(i, spec.factors[i].inv(x)) for i, x in reversed(word)]
-
-    def commutator(x, y):
-        return x + y + inverse(x) + inverse(y)
-
-    a1, b1, a2, b2 = ([(i, spec.factors[i].labels.index(s))] for i, s in (a1, b1, a2, b2))
-    return commutator(commutator(a1, b1), commutator(a2, b2))
+    a1, b1, a2, b2 = (_syllable(spec, i, s) for i, s in (a1, b1, a2, b2))
+    return _commutator(spec, _commutator(spec, a1, b1), _commutator(spec, a2, b2))
 
 
 Q8_I, Q8_J = "(1 3 2 4)(5 7 6 8)", "(1 5 2 6)(3 8 4 7)"
@@ -859,6 +889,124 @@ def test_search_matches_reference_on_random_presentations():
         assert _outcome(hom_search, P, cat, w, 2000) == _outcome(
             reference_hom_search, P, cat, w, 2000
         ), (relators, w)
+
+
+def test_blocks_start_at_each_factor_after_the_first():
+    """Keyed by the glued element -1 of the factors before, generators 3 and 10."""
+    spec, _ = _golden_amalgam("q8_triple.amg")
+    P = presentation_of_amalgam(spec)
+    levels = _relators_by_level(P)
+    starts = {k: key for k, key in enumerate(_block_keys(levels, P.ngens)) if key is not None}
+    assert starts == {8: (3,), 15: (3, 10)}
+    assert P.gen_labels[2] == "0:(1 2)(3 4)(5 6)(7 8)"
+    assert P.gen_labels[9] == "1:(1 2)(3 4)(5 6)(7 8)"
+    assert {k for k, key in enumerate(_block_keys(levels, 14)) if key is not None} == {8}
+    assert all(key is None for key in _block_keys(levels, 7))
+
+
+def _q8_triple_words():
+    """Seeded words on the Q8 triple: short products, and commutators of
+    short words, which reach into the third factor's nested block."""
+    spec, _ = _golden_amalgam("q8_triple.amg")
+    rng = random.Random(13)
+
+    def syllables(lo, hi):
+        return [(rng.randrange(3), rng.randrange(1, 8)) for _ in range(rng.randint(lo, hi))]
+
+    words = []
+    for _ in range(10):
+        if rng.random() < 0.4:
+            words.append(syllables(2, 6))
+        else:
+            words.append(_commutator(spec, syllables(1, 2), syllables(1, 2)))
+    return spec, words
+
+
+Q8_TRIPLE_WORDS = _q8_triple_words()
+
+
+@pytest.mark.parametrize("budget", [400, 3000, 20000])
+@pytest.mark.parametrize("cap", [8, 12])
+def test_search_matches_reference_on_q8_triple_words(cap, budget):
+    spec, words = Q8_TRIPLE_WORDS
+    for w in words:
+        P, cat, gw = _search_args(spec, w, cap)
+        assert _outcome(hom_search, P, cat, gw, budget) == _outcome(
+            reference_hom_search, P, cat, gw, budget
+        ), w
+
+
+def test_nested_replays_join_the_enclosing_recording():
+    """[[x, y], z], with x, y and z from factors 0, 1 and 2 of the Q8 triple
+    (in some order), dies when any of them maps trivially. Every map of Q8
+    into D3 sends -1 to 1, so the block of factor 1 is recorded once, under
+    the trivial map of factor 0, and replayed for every other map of it.
+    Inside that recording, factor 2's block is recorded under factor 1's
+    first, trivial map and replayed for its others, so each witness comes
+    from a leaf that such a nested replay added to the recording."""
+    spec, _ = _golden_amalgam("q8_triple.amg")
+    P = presentation_of_amalgam(spec)
+    d3 = SolvableCatalog(tuple(g for g in solvable_catalog(8) if g.name == "D3"), 6)
+    for x, y, z in [
+        ((0, Q8_I), (1, Q8_I), (2, Q8_I)),
+        ((0, Q8_I), (1, Q8_J), (2, Q8_J)),
+        ((2, Q8_I), (1, Q8_I), (0, Q8_I)),
+    ]:
+        x, y, z = (_syllable(spec, i, label) for i, label in (x, y, z))
+        w = _commutator(spec, _commutator(spec, x, y), z)
+        gw = amalgam_word_to_generators(P, w)
+        for budget in (400, 3000, 20000):
+            assert _outcome(hom_search, P, d3, gw, budget) == _outcome(
+                reference_hom_search, P, d3, gw, budget
+            ), (w, budget)
+        assert hom_search(P, d3, gw, 20000).separated
+
+
+# <x | x^2> and <a, b | a^3, b^2, (ab)^2>, which is S3, as generators 1, 2
+# and 3, then 4 = x*a of order 2 and 5 commuting with 4. Nothing checked at
+# levels 2 and 3 reads x, so for a word in a and b, level 2 starts a block
+# with no key: the search records it while x = 1 and replays it for every
+# other x. Levels 4 and 5 lie below the word and 4 reads the block, so a
+# replayed leaf has to recurse. With x = 1, (x*a)^2 = 1 forces a = 1, so each
+# witness comes from a replay.
+BELOW_WORD = Presentation(
+    ngens=5,
+    relators=(
+        (1, 1),
+        (2, 2, 2),
+        (3, 3),
+        (2, 3, 2, 3),
+        (1, 2, -4),
+        (4, 4),
+        (5, 5),
+        (5, 4, -5, -4),
+    ),
+)
+
+
+def test_replayed_blocks_recurse_below_the_word():
+    cat = solvable_catalog(8)
+    for w, nodes in [((2,), 141), ((3, 1, 3, 1), 153), ((2, 3, -1, 2, 3, 1), 153)]:
+        assert _block_keys(_relators_by_level(BELOW_WORD), max(abs(g) for g in w))[2] == ()
+        reference = _reference_at_every_budget(BELOW_WORD, cat, w, nodes)
+        for budget in range(nodes + 3):
+            got = _outcome(hom_search, BELOW_WORD, cat, w, budget)
+            assert got == reference(budget), (w, budget)
+
+
+def test_search_on_a_third_derived_word_keeps_its_node_count():
+    """[[[0:i, 1:i], [0:i, 1:j]], [[0:j, 1:j], [0:i, 1:j]]], 64 letters, lies
+    in the third derived subgroup of the Q8 pair, and no catalog group has
+    derived length above 3, so the search exhausts the catalog."""
+    spec, _ = _golden_amalgam("q8_pair.amg")
+    w = _commutator(
+        spec,
+        _second_derived(spec, (0, Q8_I), (1, Q8_I), (0, Q8_I), (1, Q8_J)),
+        _second_derived(spec, (0, Q8_J), (1, Q8_J), (0, Q8_I), (1, Q8_J)),
+    )
+    assert len(w) == 64
+    P, cat, gw = _search_args(spec, w, 24)
+    assert hom_search(P, cat, gw, 10**9) == Exhausted(nodes=6578788, targets_tried=52)
 
 
 # ------------------------------------------------- exhaustive_injectivity
