@@ -177,7 +177,7 @@ def _cmd_equal(ctx, args):
 
 def _series_orders(G: FiniteGroup):
     chain = series(G, "derived")
-    orders = [t.order for t in chain.terms]
+    orders = list(chain.orders)
     solvable = chain.stabilizes_trivial()
     return orders, solvable, (len(chain.terms) - 1 if solvable else None)
 
@@ -417,6 +417,8 @@ def run(argv, out, err) -> int:
             ("--budget", args.budget, 1),
             ("--catalog-max", args.catalog_max, 2),
             ("--max-order", args.max_order, 1),
+            ("--random", args.random, 0),
+            ("--max-len", args.max_len, 0),
         ):
             if value < least:
                 raise _UsageError(f"{flag} must be at least {least}; got {value}")

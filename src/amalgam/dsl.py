@@ -33,6 +33,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _perm_mul,
     cycle_label,
     cyclic_group,
     group_from_permutations,
@@ -648,11 +649,6 @@ class ResolvedSpec:
     source: SpecFile | None = None
 
 
-def _compose(p, q):
-    # (p*q)(x) = p(q(x)), matching the table convention of the groups module
-    return tuple(p[x] for x in q)
-
-
 def _invert(p):
     out = [0] * len(p)
     for i, x in enumerate(p):
@@ -668,10 +664,10 @@ def _perm_pow(p, k: int):
     out = tuple(range(len(p)))
     while k:
         if k & 1:
-            out = _compose(out, p)
+            out = _perm_mul(out, p)
         k >>= 1
         if k:
-            p = _compose(p, p)
+            p = _perm_mul(p, p)
     return out
 
 
@@ -707,7 +703,7 @@ def _eval_finite(expr: ElementExpr, decl: GroupDecl, G: FiniteGroup) -> int:
                 base = perm_from_cycles(decl.degree, decl.generators[atom.index - 1])
             else:
                 base = perm_from_cycles(decl.degree, [atom.points])
-            acc = _compose(acc, _perm_pow(base, atom.power))
+            acc = _perm_mul(acc, _perm_pow(base, atom.power))
         return _perm_element_index(G, acc)
     out = G.identity
     for atom in expr.atoms:

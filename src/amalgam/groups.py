@@ -131,9 +131,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -454,29 +451,8 @@ class GroupHom:
             self.source, other.target, tuple(other.images[i] for i in self.images)
         )
 
-    def kernel(self) -> Subgroup:
-        e = self.target.identity
-        return Subgroup(
-            self.source,
-            tuple(sorted(x for x in self.source.elements() if self.images[x] == e)),
-        )
-
     def is_injective(self) -> bool:
         return len(set(self.images)) == self.source.order
-
-    def is_surjective(self) -> bool:
-        return len(set(self.images)) == self.target.order
-
-    def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
-    def inverse(self) -> GroupHom:
-        if not self.is_isomorphism():
-            raise NotAHomomorphism("only isomorphisms invert")
-        back = [0] * self.target.order
-        for x, y in enumerate(self.images):
-            back[y] = x
-        return GroupHom(self.target, self.source, tuple(back))
 
 
 def identity_hom(G: FiniteGroup) -> GroupHom:
@@ -687,7 +663,7 @@ def cycle_label(perm: tuple[int, ...]) -> str:
 
 def _perm_mul(p, q):
     # (p*q)(x) = p(q(x))
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(p[x] for x in q)
 
 
 def group_from_permutations(
@@ -739,6 +715,10 @@ def group_from_permutations(
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
     if n < 1:
         raise InvalidGroup(f"cyclic order {n} must be positive")
+    if n > DEFAULT_MAX_ORDER:
+        raise ClosureCapExceeded(
+            f"cyclic order {n} exceeds cap {DEFAULT_MAX_ORDER}", cap=DEFAULT_MAX_ORDER, order=n
+        )
     ar = np.arange(n)
     table = (ar[:, None] + ar[None, :]) % n
     labels = tuple("e" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
@@ -801,24 +781,6 @@ def quaternion_group(name: str = "Q8") -> FiniteGroup:
                     table[idx(s1, a1)][idx(s2, a2)] = idx(s1 ^ s2 ^ s, a)
     labels = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     return FiniteGroup(table, generator_indices=(2, 4), labels=labels, name=name)
-
-
-def abelian_group(divisors, name: str = "") -> FiniteGroup:
-    """Finite abelian group as a direct product of cyclic groups."""
-    divisors = [int(d) for d in divisors]
-    if not divisors:
-        return cyclic_group(1, name=name or "C1")
-    if any(d < 1 for d in divisors):
-        raise InvalidGroup(f"cyclic orders {divisors} must be positive")
-    if len(divisors) == 1:
-        return cyclic_group(divisors[0], name=name)
-    P, _, _ = direct_product([cyclic_group(d) for d in divisors])
-    return FiniteGroup(
-        P.table,
-        generator_indices=P.generator_indices,
-        labels=P.labels,
-        name=name or "x".join(f"C{d}" for d in divisors),
-    )
 
 
 def symmetric_group(n: int, name: str = "") -> FiniteGroup:

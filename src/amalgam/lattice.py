@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 from .errors import IncompatibleAmalgam, InvalidGroup
 
@@ -435,17 +435,10 @@ class LatticeSubgroup:
     def decompose(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rep, coeffs) with rep = reduce(v) and v - rep = gens * coeffs.
 
-        _forward gives rep = v - H*q. In lower-triangular column HNF a later
-        pivot column is zero in every earlier pivot row, so _forward(H*q)
-        takes the same quotients q and leaves 0: solve(v - rep) is U*q.
+        _forward gives rep = v - H*q, and H = gens*U makes H*q = gens*(U*q).
         """
         rep, q = self._forward(v)
         return rep, self._U.matvec(q)
-
-    def solve(self, v):
-        """Integer coefficients over the original generators, or None."""
-        rep, coeffs = self.decompose(v)
-        return None if any(rep) else coeffs
 
     def __eq__(self, other):
         return (
@@ -489,13 +482,6 @@ class FGAbelian:
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int | None:
-        return prod(self.torsion) if self.is_finite else None
-
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.ngens
 
@@ -509,9 +495,6 @@ class FGAbelian:
 
     def add(self, a, b) -> tuple[int, ...]:
         return self.canon([x + y for x, y in zip(a, b, strict=True)])
-
-    def neg(self, a) -> tuple[int, ...]:
-        return self.canon([-x for x in a])
 
     def relation_columns(self) -> list[tuple[int, ...]]:
         """Columns of Z^ngens that are identified with zero (the torsion)."""
@@ -530,20 +513,18 @@ class FGAbelian:
 class IndexSplit:
     """A direct-factor split C (+) H of finite index inside Z^r.
 
-    basis_change columns form an adapted basis of Z^r; scaling its first
-    rank(C) columns by `divisors` gives c_basis (a basis of C), and the
-    remaining columns are h_basis. coset_reps enumerates Z^r / (C (+) H) as
-    mixed-radix digit vectors mapped back through basis_change, in
+    The columns of W = inverse_change^-1 form an adapted basis of Z^r;
+    scaling its first rank(C) columns by `divisors` gives c_basis (a basis
+    of C), and H is spanned by the remaining columns. coset_reps enumerates
+    Z^r / (C (+) H) as mixed-radix digit vectors mapped back through W, in
     lexicographic digit order, so the zero vector comes first.
     """
 
     ambient_rank: int
     index: int
     divisors: tuple[int, ...]
-    basis_change: IntMatrix
     inverse_change: IntMatrix
     c_basis: IntMatrix
-    h_basis: IntMatrix
     coset_reps: tuple[tuple[int, ...], ...]
 
     def digits(self, v) -> tuple[int, ...]:
@@ -580,10 +561,8 @@ def finite_index_split(ambient_rank: int, C: LatticeSubgroup) -> IndexSplit:
             ambient_rank=ambient_rank,
             index=1,
             divisors=(),
-            basis_change=W,
             inverse_change=W,
             c_basis=IntMatrix.zeros(ambient_rank, 0),
-            h_basis=W,
             coset_reps=((0,) * ambient_rank,),
         )
     dec = snf(C.basis)
@@ -594,7 +573,6 @@ def finite_index_split(ambient_rank: int, C: LatticeSubgroup) -> IndexSplit:
     c_cols = [
         tuple(divisors[i] * x for x in W.column(i)) for i in range(k)
     ]
-    h_cols = [W.column(i) for i in range(k, ambient_rank)]
     index = prod(divisors)
     reps = []
     for digits in itertools.product(*(range(d) for d in divisors)):
@@ -604,14 +582,8 @@ def finite_index_split(ambient_rank: int, C: LatticeSubgroup) -> IndexSplit:
         ambient_rank=ambient_rank,
         index=index,
         divisors=divisors,
-        basis_change=W,
         inverse_change=dec.U,
         c_basis=IntMatrix.from_columns(c_cols, rows=ambient_rank),
-        h_basis=(
-            IntMatrix.from_columns(h_cols, rows=ambient_rank)
-            if h_cols
-            else IntMatrix.zeros(ambient_rank, 0)
-        ),
         coset_reps=tuple(reps),
     )
 
@@ -658,33 +630,3 @@ def abelianization_from_presentation(ngens: int, relators) -> FGAbelian:
     torsion = tuple(d for d in nonzero if d > 1)
     return FGAbelian(free_rank=free, torsion=torsion)
 
-
-def smith_minor_gcds(M: IntMatrix) -> list[int]:
-    """Independent route to invariant factors: gcds of k x k minors.
-
-    Returns the list d_1..d_m (m = min(rows, cols)) where d_k =
-    gcd(k-minors) / gcd((k-1)-minors), with the convention that a vanishing
-    minor gcd makes that and all later factors zero. Shares no code with
-    snf(); meant as an oracle for it.
-    """
-    m = min(M.rows, M.cols)
-    out = []
-    prev = 1
-    for k in range(1, m + 1):
-        g = 0
-        for rows_sel in itertools.combinations(range(M.rows), k):
-            for cols_sel in itertools.combinations(range(M.cols), k):
-                sub = IntMatrix.from_rows(
-                    [[M.entry(i, j) for j in cols_sel] for i in rows_sel]
-                )
-                g = gcd(g, int_det(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g == 0:
-            out.extend([0] * (m - len(out)))
-            break
-        out.append(g // prev)
-        prev = g
-    return out

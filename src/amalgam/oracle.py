@@ -20,6 +20,7 @@ catalog of small solvable groups.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 from weakref import WeakKeyDictionary
@@ -257,20 +258,8 @@ def amalgam_word_to_generators(P: Presentation, word) -> tuple:
 # ------------------------------------------------------------------ catalog
 
 
-@dataclass(frozen=True)
-class SolvableCatalog:
-    groups: tuple
-    max_order: int
-
-    def __iter__(self):
-        return iter(self.groups)
-
-    def __len__(self):
-        return len(self.groups)
-
-
 @cache
-def solvable_catalog(max_order: int = DEFAULT_CATALOG_MAX) -> SolvableCatalog:
+def solvable_catalog(max_order: int = DEFAULT_CATALOG_MAX) -> tuple[FiniteGroup, ...]:
     """Fixed, deduplicated list of small solvable targets, sorted for determinism.
 
     Constructed, not classified: a useful set, not all groups of these orders.
@@ -294,7 +283,7 @@ def solvable_catalog(max_order: int = DEFAULT_CATALOG_MAX) -> SolvableCatalog:
             assert is_solvable(g)
             seen[key] = g
     ordered = sorted(seen.values(), key=lambda g: (g.order, g.name))
-    return SolvableCatalog(groups=tuple(ordered), max_order=max_order)
+    return tuple(ordered)
 
 
 # --------------------------------------------------------------- hom search
@@ -383,7 +372,7 @@ def _search_stopped(budget: int) -> BudgetExceeded:
 
 def hom_search(
     P: Presentation,
-    catalog: SolvableCatalog,
+    catalog: Sequence[FiniteGroup],
     w,
     budget: int = DEFAULT_BUDGET,
     *,

@@ -59,8 +59,6 @@ class NormalForm:
 class _FiniteAdapter:
     """Word arithmetic for a finite factor with its amalgam embedding."""
 
-    kind = "finite"
-
     def __init__(self, factor: FiniteGroup, embed: GroupHom | None, index: int):
         self.group = factor
         self.index = index
@@ -84,11 +82,6 @@ class _FiniteAdapter:
                     rep_of[z] = coset[0]
             self.rep_of = rep_of
             self._embed_image = lambda c: embed.images[c]
-        self.reps = tuple(sorted(set(self.rep_of)))
-
-    @property
-    def identity(self):
-        return self.group.identity
 
     def check(self, x):
         if not isinstance(x, int) or not 0 <= x < self.group.order:
@@ -99,9 +92,6 @@ class _FiniteAdapter:
 
     def mul(self, a, b):
         return self.group.mul(a, b)
-
-    def inv(self, a):
-        return self.group.inv(a)
 
     def is_identity(self, x) -> bool:
         return x == self.group.identity
@@ -121,8 +111,6 @@ class _FiniteAdapter:
 
 class _AbelianAdapter:
     """Word arithmetic for a finitely generated abelian factor."""
-
-    kind = "abelian"
 
     def __init__(self, factor: FGAbelian, embed: IntMatrix | None, index: int, c_rank: int):
         self.group = factor
@@ -149,10 +137,6 @@ class _AbelianAdapter:
                         f"embedding into factor {index} has a kernel", factor=index
                     )
 
-    @property
-    def identity(self):
-        return self.group.zero()
-
     def check(self, x):
         if not isinstance(x, (tuple, list)) or len(x) != self.group.ngens:
             raise ElementOutOfRange(
@@ -163,9 +147,6 @@ class _AbelianAdapter:
 
     def mul(self, a, b):
         return self.group.add(a, b)
-
-    def inv(self, a):
-        return self.group.neg(a)
 
     def is_identity(self, x) -> bool:
         return all(v == 0 for v in self.group.canon(x))
@@ -191,17 +172,6 @@ class _FiniteCOps:
     def mul(self, a, b):
         return self.group.mul(a, b)
 
-    def inv(self, a):
-        return self.group.inv(a)
-
-    def is_identity(self, c) -> bool:
-        return c == self.group.identity
-
-    def check(self, c):
-        if not isinstance(c, int) or not 0 <= c < self.group.order:
-            raise ElementOutOfRange(f"{c!r} is not an amalgam element")
-        return c
-
     def label(self, c) -> str:
         return self.group.label(c)
 
@@ -213,17 +183,6 @@ class _AbelianCOps:
 
     def mul(self, a, b):
         return self.group.add(a, b)
-
-    def inv(self, a):
-        return self.group.neg(a)
-
-    def is_identity(self, c) -> bool:
-        return all(x == 0 for x in c)
-
-    def check(self, c):
-        if not isinstance(c, (tuple, list)) or len(c) != self.group.ngens:
-            raise ElementOutOfRange(f"{c!r} is not an amalgam coordinate vector")
-        return self.group.canon(c)
 
     def label(self, c) -> str:
         return self.group.element_label(c)
@@ -282,13 +241,6 @@ class AmalgamSpec:
             raise IncompatibleAmalgam(f"unsupported amalgam type {type(C)!r}")
         self.adapters = tuple(adapters)
 
-    def transversal_reps(self, i):
-        """Finite factors only: the full list of coset representatives."""
-        ad = self.adapters[i]
-        if ad.kind != "finite":
-            raise IncompatibleAmalgam("abelian factors have no finite transversal list")
-        return ad.reps
-
     def __repr__(self):
         kinds = ",".join(
             f"{f.order}" if isinstance(f, FiniteGroup) else f"Z^{f.free_rank}x{list(f.torsion)}"
@@ -318,10 +270,6 @@ def check_word(spec: AmalgamSpec, word) -> list:
     return out
 
 
-def identity_form(spec: AmalgamSpec) -> NormalForm:
-    return NormalForm(head=spec.c_ops.identity, tail=())
-
-
 def _left_mul_syllable(spec: AmalgamSpec, i: int, x, nf: NormalForm) -> NormalForm:
     ad = spec.adapters[i]
     cops = spec.c_ops
@@ -343,60 +291,10 @@ def _left_mul_syllable(spec: AmalgamSpec, i: int, x, nf: NormalForm) -> NormalFo
 def reduce(spec: AmalgamSpec, word) -> NormalForm:
     """Normal form of a raw word, by folding syllables from the right."""
     syls = check_word(spec, word)
-    nf = identity_form(spec)
+    nf = NormalForm(head=spec.c_ops.identity, tail=())
     for i, x in reversed(syls):
         nf = _left_mul_syllable(spec, i, x, nf)
     return nf
-
-
-def multiply(spec: AmalgamSpec, u: NormalForm, v: NormalForm) -> NormalForm:
-    nf = v
-    for i, t in reversed(u.tail):
-        nf = _left_mul_syllable(spec, i, t, nf)
-    return NormalForm(head=spec.c_ops.mul(u.head, nf.head), tail=nf.tail)
-
-
-def nf_to_word(spec: AmalgamSpec, nf: NormalForm) -> list:
-    """A raw word evaluating to nf (head embedded through factor 0)."""
-    word = []
-    if not spec.c_ops.is_identity(nf.head):
-        word.append((0, spec.adapters[0].embed_c(nf.head)))
-    word.extend(nf.tail)
-    return word
-
-
-def invert(spec: AmalgamSpec, nf: NormalForm) -> NormalForm:
-    word = []
-    for i, t in reversed(nf.tail):
-        word.append((i, spec.adapters[i].inv(t)))
-    c_inv = spec.c_ops.inv(nf.head)
-    if not spec.c_ops.is_identity(c_inv):
-        word.append((0, spec.adapters[0].embed_c(c_inv)))
-    return reduce(spec, word)
-
-
-def words_equal(spec: AmalgamSpec, w1, w2) -> bool:
-    return reduce(spec, w1) == reduce(spec, w2)
-
-
-def is_normal_form(spec: AmalgamSpec, nf: NormalForm) -> bool:
-    """Structural check of the normal-form invariants."""
-    try:
-        spec.c_ops.check(nf.head)
-    except ElementOutOfRange:
-        return False
-    prev = None
-    for i, t in nf.tail:
-        ad = spec.adapters[i]
-        if ad.is_identity(t):
-            return False
-        c, rep = ad.decompose(t)
-        if rep != t or not spec.c_ops.is_identity(c):
-            return False
-        if prev == i:
-            return False
-        prev = i
-    return True
 
 
 def word_label(spec: AmalgamSpec, word) -> str:
@@ -464,9 +362,6 @@ class InducedHom:
         for i, x in check_word(self.spec, word):
             out = self.target.mul(out, self.maps[i].apply(x))
         return out
-
-    def apply_nf(self, nf: NormalForm) -> int:
-        return self.apply_word(nf_to_word(self.spec, nf))
 
 
 class AbelianToFiniteHom:

@@ -443,6 +443,23 @@ def test_smallest_search_limits_are_accepted():
     )
 
 
+@pytest.mark.parametrize("flag", ["--random", "--max-len"])
+def test_negative_random_word_limits_are_usage_errors(flag):
+    code, out, err = _run(["oracle-check", "--spec", "{G}/s3_pair.amg", flag, "-1"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "usage-error",
+        "message": f"{flag} must be at least 0; got -1",
+    }
+
+
+def test_zero_random_word_limits_are_accepted():
+    code, out, err = _run(["oracle-check", "--spec", "{G}/s3_pair.amg",
+                           "--random", "3", "--max-len", "0"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["words_checked"] == 3
+
+
 # S4xC2 (order 48) doubled over C4; both factors are one group object
 S4XC2_PAIR = (
     "group G = perm 6 { (1 2); (1 2 3 4); (5 6) }\n"

@@ -18,6 +18,7 @@ from amalgam.dsl import (
     resolve,
 )
 from amalgam.errors import (
+    ClosureCapExceeded,
     EmbeddingTypeMismatch,
     NotAHomomorphism,
     ParseError,
@@ -210,6 +211,12 @@ def test_resolve_builds_the_permutation_group():
     assert isinstance(S3, FiniteGroup)
     assert S3.order == 6
     assert ctx.groups["C3"].order == 3
+
+
+def test_cyclic_group_over_the_order_cap_is_refused():
+    # checked before the 5001 x 5001 table is allocated
+    with pytest.raises(ClosureCapExceeded, match="cyclic order 5001 exceeds cap 5000"):
+        resolve(parse("group Z = cyclic 5001\n"))
 
 
 def test_resolve_embedding_is_a_hom():

@@ -15,7 +15,6 @@ from amalgam.errors import (
 )
 from amalgam.groups import (
     FiniteGroup,
-    abelian_group,
     abelian_invariants,
     alternating_group,
     all_subgroups,
@@ -44,6 +43,16 @@ from amalgam.groups import (
     GroupHom,
 )
 from amalgam.lattice import abelianization_from_presentation
+
+
+def product_of_cyclics(*divisors):
+    """C_d1 x C_d2 x ..., named like C2xC4."""
+    return direct_product([cyclic_group(d) for d in divisors])[0]
+
+
+def kernel(hom):
+    """Sorted elements of the source that map to the identity."""
+    return tuple(x for x in hom.source.elements() if hom.images[x] == hom.target.identity)
 
 
 # -- independent oracles -------------------------------------------------
@@ -131,7 +140,7 @@ def test_s3_closure_and_table():
     G = group_from_permutations(3, [perm_from_cycles(3, [(1, 2)]), perm_from_cycles(3, [(1, 2, 3)])])
     assert G.order == 6
     assert G.identity == 0
-    assert not G.is_abelian()
+    assert not np.array_equal(G.table, G.table.T)
     # every element has the order of its cycle type
     orders = sorted(G.element_order(x) for x in G.elements())
     assert orders == [1, 2, 2, 2, 3, 3]
@@ -398,7 +407,7 @@ def test_frattini_q8():
 
 
 def test_frattini_klein_trivial():
-    f = frattini(abelian_group([2, 2]))
+    f = frattini(product_of_cyclics(2, 2))
     assert f.order == 1
 
 
@@ -425,8 +434,8 @@ def test_quotient_s3_by_a3():
     A3 = subgroup_closure(G, [next(x for x in G.elements() if G.element_order(x) == 3)])
     Q, proj = quotient_group(G, A3)
     assert Q.order == 2
-    assert proj.is_surjective()
-    assert proj.kernel().elements == A3.elements
+    assert set(proj.images) == set(Q.elements())
+    assert kernel(proj) == A3.elements
 
 
 def test_quotient_requires_normal():
@@ -468,7 +477,7 @@ def test_quotient_normality_matches_is_normal_on_every_subgroup_of_s4():
         if H.is_normal():
             Q, proj = quotient_group(G, H)
             assert Q.order * H.order == G.order
-            assert proj.kernel().elements == H.elements
+            assert kernel(proj) == H.elements
         else:
             with pytest.raises(NotNormal, match=f"^subgroup of order {H.order} is not normal$"):
                 quotient_group(G, H)
@@ -542,7 +551,7 @@ def test_abelian_invariants_perfectish():
 
 
 def test_abelian_invariants_c2xc4():
-    assert abelian_invariants(abelian_group([2, 4])) == [2, 4]
+    assert abelian_invariants(product_of_cyclics(2, 4)) == [2, 4]
 
 
 @pytest.mark.parametrize(
@@ -550,9 +559,9 @@ def test_abelian_invariants_c2xc4():
     [
         cyclic_group(1),
         cyclic_group(12),
-        abelian_group([2, 2, 4]),
-        abelian_group([6, 4]),
-        abelian_group([3, 9]),
+        product_of_cyclics(2, 2, 4),
+        product_of_cyclics(6, 4),
+        product_of_cyclics(3, 9),
         symmetric_group(3),
         symmetric_group(4),
         alternating_group(4),
@@ -586,8 +595,8 @@ def test_hom_sign_map():
     C2 = cyclic_group(2)
     images = tuple(0 if G.element_order(x) in (1, 3) else 1 for x in G.elements())
     h = GroupHom(G, C2, images)
-    assert h.is_surjective()
-    assert h.kernel().order == 3
+    assert set(h.images) == set(C2.elements())
+    assert len(kernel(h)) == 3
 
 
 def test_hom_rejects_non_multiplicative():
@@ -661,21 +670,13 @@ def test_hom_from_generator_images_extends():
     C2 = cyclic_group(2)
     gens = G.generator_indices
     h = hom_from_generator_images(G, C2, {gens[0]: 1, gens[1]: 0})
-    assert h.kernel().order == 3
+    assert len(kernel(h)) == 3
 
 
 def test_hom_from_generator_images_rejects_bad():
     G = cyclic_group(3)
     with pytest.raises(NotAHomomorphism):
         hom_from_generator_images(G, cyclic_group(2), {1: 1})
-
-
-def test_hom_inverse_roundtrip():
-    G = cyclic_group(5)
-    h = GroupHom(G, G, tuple((2 * x) % 5 for x in range(5)))
-    assert h.is_isomorphism()
-    inv = h.inverse()
-    assert inv.then(h).images == identity_hom(G).images
 
 
 def test_subgroup_validation():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from math import gcd, log2, prod
@@ -16,7 +17,6 @@ from amalgam.lattice import (
     hnf,
     int_det,
     lattice_kernel,
-    smith_minor_gcds,
     snf,
     unimodular_inverse,
 )
@@ -104,6 +104,37 @@ def test_hnf_column_lattice_preserved():
 
 
 # -- SNF -------------------------------------------------------------------
+
+def smith_minor_gcds(M: IntMatrix) -> list[int]:
+    """Independent route to invariant factors: gcds of k x k minors.
+
+    Returns the list d_1..d_m (m = min(rows, cols)) where d_k =
+    gcd(k-minors) / gcd((k-1)-minors), with the convention that a vanishing
+    minor gcd makes that and all later factors zero. Shares no code with
+    snf(); meant as an oracle for it.
+    """
+    m = min(M.rows, M.cols)
+    out = []
+    prev = 1
+    for k in range(1, m + 1):
+        g = 0
+        for rows_sel in itertools.combinations(range(M.rows), k):
+            for cols_sel in itertools.combinations(range(M.cols), k):
+                sub = IntMatrix.from_rows(
+                    [[M.entry(i, j) for j in cols_sel] for i in rows_sel]
+                )
+                g = gcd(g, int_det(sub))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        if g == 0:
+            out.extend([0] * (m - len(out)))
+            break
+        out.append(g // prev)
+        prev = g
+    return out
+
 
 def test_snf_worked_example():
     dec = snf(M([[2, 4], [6, 8]]))
@@ -242,11 +273,12 @@ def test_lattice_subgroup_membership_and_reduce():
 def test_lattice_subgroup_solve():
     L = LatticeSubgroup.from_vectors(2, [(2, 1), (0, 5)])
     v = (4, 12)
-    coeffs = L.solve(v)
-    assert coeffs is not None
-    a, b = coeffs
+    rep, (a, b) = L.decompose(v)
+    assert rep == (0, 0)
     assert (2 * a + 0 * b, 1 * a + 5 * b) == v
-    assert L.solve((1, 0)) is None
+    rep, (a, b) = L.decompose((1, 0))
+    assert rep != (0, 0)
+    assert (rep[0] + 2 * a, rep[1] + a + 5 * b) == (1, 0)
 
 
 def test_lattice_subgroup_reduce_is_coset_invariant():
@@ -260,11 +292,6 @@ def test_lattice_subgroup_reduce_is_coset_invariant():
             col = L.gens.column(j)
             w = [wi + c * ci for wi, ci in zip(w, col)]
         assert L.reduce(v) == L.reduce(w)
-
-
-def _reference_decompose(L, v):
-    rep = L.reduce(v)
-    return rep, L.solve(tuple(a - b for a, b in zip(v, rep)))
 
 
 def test_lattice_subgroup_decompose_matches_reduce_and_solve():
@@ -291,7 +318,7 @@ def test_lattice_subgroup_decompose_matches_reduce_and_solve():
             for _ in range(10):
                 v = tuple(rng.randint(-40, 40) for _ in range(r))
                 rep, coeffs = L.decompose(v)
-                assert (rep, coeffs) == _reference_decompose(L, v)
+                assert rep == L.reduce(v)
                 combo = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(r)]
                 assert tuple(x + y for x, y in zip(rep, combo)) == v
                 cases += 1
@@ -379,9 +406,6 @@ def test_fgabelian_arithmetic():
     B = FGAbelian(free_rank=1, torsion=(2,))  # Z/2 x Z, torsion coordinate first
     assert B.canon((3, 5)) == (1, 5)
     assert B.add((1, 2), (1, -3)) == (0, -1)
-    assert B.neg((1, 4)) == (1, -4)
-    assert B.order() is None
-    assert FGAbelian(0, (2, 4)).order() == 8
 
 
 # -- abelianization from relators ----------------------------------------------
@@ -406,7 +430,6 @@ def test_abelianization_mixed():
 def test_abelianization_kills_everything():
     ab = abelianization_from_presentation(2, [(1, 0), (0, 1)])
     assert ab == FGAbelian(0)
-    assert ab.order() == 1
 
 
 def test_abelianization_redundant_relators():

@@ -26,7 +26,6 @@ from amalgam.lattice import FGAbelian, IntMatrix
 from amalgam.oracle import (
     DEFAULT_BUDGET,
     Presentation,
-    SolvableCatalog,
     _OracleFactor,
     _block_keys,
     _relators_by_level,
@@ -255,7 +254,7 @@ def _random_syllable(rng, spec, i):
 
 def _inverse(spec, word):
     return [
-        (i, spec.factors[i].inv(x) if isinstance(x, int) else spec.factors[i].neg(x))
+        (i, spec.factors[i].inv(x) if isinstance(x, int) else tuple(-v for v in x))
         for i, x in reversed(word)
     ]
 
@@ -946,7 +945,7 @@ def test_nested_replays_join_the_enclosing_recording():
     from a leaf that such a nested replay added to the recording."""
     spec, _ = _golden_amalgam("q8_triple.amg")
     P = presentation_of_amalgam(spec)
-    d3 = SolvableCatalog(tuple(g for g in solvable_catalog(8) if g.name == "D3"), 6)
+    d3 = tuple(g for g in solvable_catalog(8) if g.name == "D3")
     for x, y, z in [
         ((0, Q8_I), (1, Q8_I), (2, Q8_I)),
         ((0, Q8_I), (1, Q8_J), (2, Q8_J)),

@@ -1,4 +1,4 @@
-"""Normal forms, multiplication, and amalgam constructions."""
+"""Normal forms, the group law on words, and amalgam constructions."""
 
 import random
 
@@ -36,14 +36,8 @@ from amalgam.words import (
     build_generalized_central_product,
     check_word,
     identified_direct_quotient,
-    identity_form,
-    invert,
-    is_normal_form,
-    multiply,
-    nf_to_word,
     reduce,
     validate_spec,
-    words_equal,
     _FiniteAdapter,
 )
 
@@ -91,6 +85,44 @@ def random_word(spec: AmalgamSpec, rng: random.Random, max_len: int) -> list:
         else:
             word.append((i, tuple(rng.randrange(-4, 5) for _ in range(f.ngens))))
     return word
+
+
+def nf_to_word(spec: AmalgamSpec, nf: NormalForm) -> list:
+    """A raw word evaluating to nf (head embedded through factor 0)."""
+    word = []
+    if nf.head != spec.c_ops.identity:
+        word.append((0, spec.adapters[0].embed_c(nf.head)))
+    word.extend(nf.tail)
+    return word
+
+
+def inverse(spec: AmalgamSpec, word) -> list:
+    return [
+        (i, spec.factors[i].inv(x) if isinstance(x, int) else tuple(-v for v in x))
+        for i, x in reversed(word)
+    ]
+
+
+def is_normal_form(spec: AmalgamSpec, nf: NormalForm) -> bool:
+    """Structural check of the normal-form invariants."""
+    C = spec.amalgam
+    if isinstance(C, FiniteGroup):
+        if not isinstance(nf.head, int) or not 0 <= nf.head < C.order:
+            return False
+    elif not isinstance(nf.head, tuple) or len(nf.head) != C.ngens:
+        return False
+    prev = None
+    for i, t in nf.tail:
+        ad = spec.adapters[i]
+        if ad.is_identity(t):
+            return False
+        c, rep = ad.decompose(t)
+        if rep != t or c != spec.c_ops.identity:
+            return False
+        if prev == i:
+            return False
+        prev = i
+    return True
 
 
 # ---------------------------------------------------------------- validation
@@ -162,8 +194,7 @@ def test_construction_builds_the_adapters_once(monkeypatch):
     assert isinstance(spec.adapters, tuple)
     assert validate_spec(spec) is spec
     i, j = by_label(spec.factors[0], "i"), by_label(spec.factors[1], "j")
-    nf = reduce(spec, [(0, i), (1, j)])
-    multiply(spec, nf, nf)
+    reduce(spec, [(0, i), (1, j)])
     separate_element(spec, [(0, i), (1, j)])
     assert built == [0, 1]
 
@@ -185,16 +216,17 @@ def test_q8_transversal():
     spec = q8_amalgam()
     ad = spec.adapters[0]
     # the embedded C2 is {1, -1}; cosets pair each element with its negative
-    assert spec.transversal_reps(0) == (0, 2, 4, 6)
+    reps = set()
     for x in spec.factors[0].elements():
         c, t = ad.decompose(x)
         assert ad.mul(ad.embed_c(c), t) == x
-        assert t in spec.transversal_reps(0)
+        reps.add(t)
+    assert sorted(reps) == [0, 2, 4, 6]
 
 
 def test_s3_transversal_has_index_two():
     spec = s3_amalgam()
-    reps = spec.transversal_reps(0)
+    reps = sorted({spec.adapters[0].decompose(x)[1] for x in spec.factors[0].elements()})
     assert len(reps) == 2
     assert reps[0] == 0
     for t in reps:
@@ -209,7 +241,7 @@ def test_decompose_embedded_elements():
     for c in C.elements():
         got_c, got_t = ad.decompose(ad.embed_c(c))
         assert got_c == c
-        assert got_t == ad.identity
+        assert got_t == spec.factors[1].identity
 
 
 # ------------------------------------------------------------- normal forms
@@ -218,7 +250,7 @@ def test_decompose_embedded_elements():
 def test_reduce_empty_word_is_identity():
     spec = q8_amalgam()
     nf = reduce(spec, [])
-    assert nf == identity_form(spec)
+    assert nf == NormalForm(head=spec.amalgam.identity, tail=())
     assert nf.is_identity()
 
 
@@ -235,7 +267,7 @@ def test_reduce_amalgam_syllable_becomes_head():
     assert nf.tail == ()
     assert nf.head == 1
     # and the same element through the other factor is equal
-    assert words_equal(spec, [(1, rot)], [(0, rot)])
+    assert reduce(spec, [(1, rot)]) == reduce(spec, [(0, rot)])
 
 
 def test_ping_pong_alternating_word_has_full_length():
@@ -253,7 +285,7 @@ def test_same_factor_syllables_merge():
     spec = q8_amalgam()
     Q = spec.factors[0]
     i, j = by_label(Q, "i"), by_label(Q, "j")
-    assert words_equal(spec, [(0, i), (0, j)], [(0, Q.mul(i, j))])
+    assert reduce(spec, [(0, i), (0, j)]) == reduce(spec, [(0, Q.mul(i, j))])
 
 
 def test_roundtrip_and_idempotence():
@@ -266,35 +298,29 @@ def test_roundtrip_and_idempotence():
         assert reduce(spec, nf_to_word(spec, nf)) == nf
 
 
-def test_multiply_matches_concatenation():
-    spec = q8_amalgam()
-    rng = random.Random(202)
-    for _ in range(200):
-        u = random_word(spec, rng, 6)
-        v = random_word(spec, rng, 6)
-        assert multiply(spec, reduce(spec, u), reduce(spec, v)) == reduce(spec, u + v)
+def assert_associative(spec, a, b, c):
+    """(ab)c = a(bc), each product reduced before it is extended."""
+    ab = nf_to_word(spec, reduce(spec, a + b))
+    bc = nf_to_word(spec, reduce(spec, b + c))
+    assert reduce(spec, ab + c) == reduce(spec, a + bc)
 
 
 def test_multiplication_associative():
     spec = s3_amalgam()
     rng = random.Random(303)
     for _ in range(200):
-        a = reduce(spec, random_word(spec, rng, 5))
-        b = reduce(spec, random_word(spec, rng, 5))
-        c = reduce(spec, random_word(spec, rng, 5))
-        assert multiply(spec, multiply(spec, a, b), c) == multiply(
-            spec, a, multiply(spec, b, c)
-        )
+        a, b, c = (random_word(spec, rng, 5) for _ in range(3))
+        assert_associative(spec, a, b, c)
 
 
 def test_inverse_cancels():
     for spec in (q8_amalgam(), s3_amalgam()):
         rng = random.Random(404)
         for _ in range(100):
-            nf = reduce(spec, random_word(spec, rng, 6))
-            assert multiply(spec, nf, invert(spec, nf)).is_identity()
-            assert multiply(spec, invert(spec, nf), nf).is_identity()
-            assert invert(spec, invert(spec, nf)) == nf
+            w = nf_to_word(spec, reduce(spec, random_word(spec, rng, 6)))
+            assert reduce(spec, w + inverse(spec, w)).is_identity()
+            assert reduce(spec, inverse(spec, w) + w).is_identity()
+            assert reduce(spec, inverse(spec, inverse(spec, w))) == reduce(spec, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,9 +333,8 @@ def test_concatenation_homomorphic(word):
     spec = s3_amalgam()
     for cut in range(len(word) + 1):
         left, right = word[:cut], word[cut:]
-        assert multiply(spec, reduce(spec, left), reduce(spec, right)) == reduce(
-            spec, word
-        )
+        halves = nf_to_word(spec, reduce(spec, left)) + nf_to_word(spec, reduce(spec, right))
+        assert reduce(spec, halves) == reduce(spec, word)
 
 
 def test_is_normal_form_rejects_bad_tails():
@@ -317,6 +342,7 @@ def test_is_normal_form_rejects_bad_tails():
     S = spec.factors[0]
     flip = by_label(S, "(1 2)")
     rot = by_label(S, "(1 2 3)")
+    assert not is_normal_form(spec, NormalForm(head=3, tail=()))  # C3 has no element 3
     assert not is_normal_form(spec, NormalForm(head=0, tail=((0, 0),)))
     assert not is_normal_form(spec, NormalForm(head=0, tail=((0, rot),)))
     assert not is_normal_form(
@@ -359,13 +385,9 @@ def test_mixed_inverse_and_associativity():
     spec = mixed_amalgam(b_stride=2)
     rng = random.Random(606)
     for _ in range(150):
-        u = reduce(spec, random_word(spec, rng, 6))
-        v = reduce(spec, random_word(spec, rng, 6))
-        w = reduce(spec, random_word(spec, rng, 6))
-        assert multiply(spec, multiply(spec, u, v), w) == multiply(
-            spec, u, multiply(spec, v, w)
-        )
-        assert multiply(spec, u, invert(spec, u)).is_identity()
+        u, v, w = (random_word(spec, rng, 6) for _ in range(3))
+        assert_associative(spec, u, v, w)
+        assert reduce(spec, u + inverse(spec, u)).is_identity()
 
 
 def test_torsion_factor_decomposition():
@@ -392,9 +414,9 @@ def test_finite_factor_with_trivial_amalgam():
     word = [(0, flip), (1, (3,)), (0, flip), (1, (-3,))]
     nf = reduce(spec, word)
     assert nf.length == 4
-    assert multiply(spec, nf, invert(spec, nf)).is_identity()
+    assert reduce(spec, word + inverse(spec, word)).is_identity()
     # free product: no cancellation across factors
-    assert not words_equal(spec, [(0, flip)], [(1, (1,))])
+    assert reduce(spec, [(0, flip)]) != reduce(spec, [(1, (1,))])
 
 
 # ------------------------------------------------------------- induced maps
@@ -410,7 +432,7 @@ def test_induced_hom_respects_reduction():
     rng = random.Random(707)
     for _ in range(150):
         w = random_word(spec, rng, 8)
-        assert hom.apply_word(w) == hom.apply_nf(reduce(spec, w))
+        assert hom.apply_word(w) == hom.apply_word(nf_to_word(spec, reduce(spec, w)))
     u, v = random_word(spec, rng, 5), random_word(spec, rng, 5)
     assert hom.apply_word(u + v) == S.mul(hom.apply_word(u), hom.apply_word(v))
 
@@ -436,7 +458,7 @@ def test_induced_hom_mixed_factors():
     rng = random.Random(808)
     for _ in range(100):
         w = random_word(spec, rng, 6)
-        assert hom.apply_word(w) == hom.apply_nf(reduce(spec, w))
+        assert hom.apply_word(w) == hom.apply_word(nf_to_word(spec, reduce(spec, w)))
 
 
 def test_abelian_to_finite_hom_validation():
@@ -506,7 +528,7 @@ def test_identified_quotient_q8():
     D, proj = identified_direct_quotient(Q, Q, m, m)
     assert D.order == 32
     assert proj.source.order == 64
-    assert proj.kernel().order == 2
+    assert proj.images.count(D.identity) == 2
     # the identified pair lands on the same element
     assert proj.apply(m * 8) == proj.apply(m)
 
@@ -518,4 +540,4 @@ def test_identified_quotient_s3():
     # conjugates of (rot, rot^-1) already generate A3 x A3
     assert D.order == 4
     assert abelian_invariants(D) == [2, 2]
-    assert proj.kernel().order == 9
+    assert proj.images.count(D.identity) == 9
