@@ -15,6 +15,7 @@ Errors are printed to stderr as structured JSON, never tracebacks.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -135,9 +136,9 @@ def _element_json(x):
 def _nf_json(spec: AmalgamSpec, nf) -> dict:
     return {
         "head": _element_json(nf.head),
-        "head_label": spec.c_ops.label(nf.head),
+        "head_label": spec.amalgam.label(nf.head),
         "tail": word_to_json(nf.tail),
-        "tail_labels": [spec.adapters[i].label(x) for i, x in nf.tail],
+        "tail_labels": [spec.factors[i].label(x) for i, x in nf.tail],
         "is_identity": nf.is_identity(),
         "length": nf.length,
     }
@@ -333,15 +334,14 @@ def _random_word(spec: AmalgamSpec, rng: random.Random, max_len: int):
 def _cmd_oracle_check(ctx, args):
     aname = _pick_amalgam(ctx, args.amalgam)
     spec = ctx.amalgams[aname]
-    words = []
-    for name in args.word or []:
-        wa, w = _pick_word(ctx, name, aname)
-        words.append((name, w))
+    named = [(name, _pick_word(ctx, name, aname)[1]) for name in args.word or []]
     rng = random.Random(args.seed)
-    for k in range(args.random):
-        words.append((f"random-{k}", _random_word(spec, rng, args.max_len)))
+    # each random word is drawn only once the words before it agree
+    drawn = (
+        (f"random-{k}", _random_word(spec, rng, args.max_len)) for k in range(args.random)
+    )
     checked = 0
-    for name, w in words:
+    for name, w in itertools.chain(named, drawn):
         engine_nf = reduce(spec, w)
         oracle_nf = oracle.oracle_reduce(spec, w)
         checked += 1
@@ -417,6 +417,7 @@ def run(argv, out, err) -> int:
             ("--budget", args.budget, 1),
             ("--catalog-max", args.catalog_max, 2),
             ("--max-order", args.max_order, 1),
+            ("--frattini-cap", args.frattini_cap, 1),
             ("--random", args.random, 0),
             ("--max-len", args.max_len, 0),
         ):

@@ -102,6 +102,12 @@ class FiniteGroup:
         self.name = name
         self._series = {}  # kind -> SeriesChain, filled by series()
 
+    def check(self, x) -> int:
+        """x itself, once it is known to be an element index of this group."""
+        if not isinstance(x, int) or not 0 <= x < self.order:
+            raise ElementOutOfRange(f"element {x!r} out of range", index=x)
+        return x
+
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
@@ -236,10 +242,7 @@ class Subgroup:
 
 def subgroup(G: FiniteGroup, elements) -> Subgroup:
     """Validated subgroup from an explicit element set."""
-    elems = sorted(set(int(x) for x in elements))
-    for x in elems:
-        if not 0 <= x < G.order:
-            raise ElementOutOfRange(f"element {x} out of range", index=x)
+    elems = [G.check(x) for x in sorted({int(x) for x in elements})]
     s = set(elems)
     if G.identity not in s:
         raise InvalidGroup("subgroup must contain the identity")
@@ -257,19 +260,13 @@ def whole_group(G: FiniteGroup) -> Subgroup:
 
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
-    seeds = [int(x) for x in seeds]
-    for x in seeds:
-        if not 0 <= x < G.order:
-            raise ElementOutOfRange(f"element {x} out of range", index=x)
+    seeds = [G.check(int(x)) for x in seeds]
     return Subgroup(G, tuple(sorted(_closure_from(G, seeds))))
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
     """Smallest normal subgroup of G containing the seeds."""
-    seeds = [int(x) for x in seeds]
-    for x in seeds:
-        if not 0 <= x < G.order:
-            raise ElementOutOfRange(f"element {x} out of range", index=x)
+    seeds = [G.check(int(x)) for x in seeds]
     return Subgroup(G, tuple(sorted(_normal_closure_from(G, seeds, G.small_generators))))
 
 

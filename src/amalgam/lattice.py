@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from math import prod
 
-from .errors import IncompatibleAmalgam, InvalidGroup
+from .errors import ElementOutOfRange, IncompatibleAmalgam, InvalidGroup
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -460,7 +460,7 @@ class FGAbelian:
 
     torsion is the invariant-factor list: every entry > 1 and each divides
     the next. Element coordinates put the torsion components first, then the
-    free ones.
+    free ones. identity, mul, label and check are named as on FiniteGroup.
     """
 
     free_rank: int
@@ -482,7 +482,8 @@ class FGAbelian:
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def zero(self) -> tuple[int, ...]:
+    @property
+    def identity(self) -> tuple[int, ...]:
         return (0,) * self.ngens
 
     def canon(self, v) -> tuple[int, ...]:
@@ -493,7 +494,13 @@ class FGAbelian:
             v[i] %= d
         return tuple(v)
 
-    def add(self, a, b) -> tuple[int, ...]:
+    def check(self, v) -> tuple[int, ...]:
+        """canon(v), once v is known to be a coordinate vector of this group."""
+        if not isinstance(v, (tuple, list)) or len(v) != self.ngens:
+            raise ElementOutOfRange(f"{v!r} is not a coordinate vector of length {self.ngens}")
+        return self.canon(v)
+
+    def mul(self, a, b) -> tuple[int, ...]:
         return self.canon([x + y for x, y in zip(a, b, strict=True)])
 
     def relation_columns(self) -> list[tuple[int, ...]]:
@@ -505,7 +512,7 @@ class FGAbelian:
             cols.append(tuple(col))
         return cols
 
-    def element_label(self, v) -> str:
+    def label(self, v) -> str:
         return "(" + ",".join(str(x) for x in self.canon(v)) + ")"
 
 

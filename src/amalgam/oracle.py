@@ -57,24 +57,20 @@ DEFAULT_CATALOG_MAX = 24
 
 
 class _OracleFactor:
-    """Per-factor arithmetic recomputed from raw spec data, tables and all."""
+    """Per-factor coset data recomputed from raw spec data, tables and all."""
 
     def __init__(self, spec: AmalgamSpec, i: int):
-        self.i = i
-        f = spec.factors[i]
+        self.group = f = spec.factors[i]
         C = spec.amalgam
         e = spec.embeddings[i]
         self._c_finite = isinstance(C, FiniteGroup)
-        if isinstance(f, FiniteGroup):
-            self.finite = True
-            self.group = f
+        self.finite = isinstance(f, FiniteGroup)
+        if self.finite:
             if self._c_finite:
                 self._image = [e.apply(c) for c in C.elements()]
             else:
                 self._image = [f.identity]  # rank-0 abelian amalgam
         else:
-            self.finite = False
-            self.group = f
             self._embed = e
             cols = []
             if e is not None and e.cols:
@@ -83,22 +79,8 @@ class _OracleFactor:
             cols = cols + f.relation_columns()
             self._lat = LatticeSubgroup.from_vectors(f.ngens, cols)
 
-    def check(self, x):
-        if self.finite:
-            if not isinstance(x, int) or not 0 <= x < self.group.order:
-                raise ElementOutOfRange(f"{x!r} out of range in factor {self.i}")
-            return x
-        if not isinstance(x, (tuple, list)) or len(x) != self.group.ngens:
-            raise ElementOutOfRange(f"{x!r} out of range in factor {self.i}")
-        return self.group.canon(x)
-
-    def mul(self, x, y):
-        return self.group.mul(x, y) if self.finite else self.group.add(x, y)
-
     def is_identity(self, x) -> bool:
-        if self.finite:
-            return x == self.group.identity
-        return all(v == 0 for v in self.group.canon(x))
+        return x == self.group.identity
 
     def decompose(self, x):
         """x = (amalgam part) * (representative), recomputed by scanning."""
@@ -116,7 +98,7 @@ class _OracleFactor:
         if self.finite:
             return self._image[c] if self._c_finite else self.group.identity
         if self._c_rank == 0:
-            return self.group.zero()
+            return self.group.identity
         return self.group.canon(self._embed.matvec(c))
 
 
@@ -134,8 +116,8 @@ def _oracle_factors(spec: AmalgamSpec) -> tuple:
 
 def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
     """Normal form by rewriting in two linear passes; same contract as reduce."""
-    C = spec.amalgam
-    c_one = head = C.identity if isinstance(C, FiniteGroup) else C.zero()
+    factors = spec.factors
+    c_one = head = spec.amalgam.identity
     helpers = _oracle_factors(spec)
     # left to right: drop identity syllables, merge same-factor neighbours
     syls = []
@@ -143,11 +125,11 @@ def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
         if not isinstance(syl, (tuple, list)) or len(syl) != 2:
             raise ElementOutOfRange(f"syllable {syl!r} is not a (factor, element) pair")
         i, x = syl
-        if not isinstance(i, int) or not 0 <= i < len(helpers):
+        if not isinstance(i, int) or not 0 <= i < len(factors):
             raise ElementOutOfRange(f"factor index {i!r} out of range")
-        x = helpers[i].check(x)
+        x = factors[i].check(x)
         if syls and syls[-1][0] == i:
-            x = helpers[i].mul(syls.pop()[1], x)
+            x = factors[i].mul(syls.pop()[1], x)
         if not helpers[i].is_identity(x):
             syls.append((i, x))
 
@@ -161,12 +143,12 @@ def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
             head = c  # nothing to its left
         elif c != c_one:  # push the amalgam part one slot left
             j, y = syls[-1]
-            syls[-1] = (j, helpers[j].mul(y, helpers[j].embed_amalgam(c)))
+            syls[-1] = (j, factors[j].mul(y, helpers[j].embed_amalgam(c)))
         if not helpers[i].is_identity(t):
             tail.append((i, t))
         elif syls and tail and syls[-1][0] == tail[-1][0]:  # x vanished
             j, y = syls[-1]
-            syls[-1] = (j, helpers[j].mul(y, tail.pop()[1]))
+            syls[-1] = (j, factors[j].mul(y, tail.pop()[1]))
     return NormalForm(head=head, tail=tuple(reversed(tail)))
 
 

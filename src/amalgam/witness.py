@@ -247,12 +247,9 @@ def cyclic_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDE
     Bbar, proj_b = quotient_group(B, series(B, "derived").terms[n])
     abar = proj_a.apply(a)
     bbar = proj_b.apply(b)
-    D, proj_d = identified_direct_quotient(Abar, Bbar, abar, bbar, max_order)
-    P = proj_d.source
-    inj_a = GroupHom(Abar, P, tuple(x * Bbar.order for x in Abar.elements()))
-    inj_b = GroupHom(Bbar, P, tuple(range(Bbar.order)))
-    map_a = proj_a.then(inj_a).then(proj_d)
-    map_b = proj_b.then(inj_b).then(proj_d)
+    D, (mu_a, mu_b) = identified_direct_quotient(Abar, Bbar, abar, bbar, max_order)
+    map_a = proj_a.then(mu_a)
+    map_b = proj_b.then(mu_b)
     hom = InducedHom(spec, D, [map_a, map_b])
 
     dying = [j for j in range(1, k) if map_a.apply(A.power(a, j)) == D.identity]

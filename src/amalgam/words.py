@@ -57,12 +57,10 @@ class NormalForm:
 
 
 class _FiniteAdapter:
-    """Word arithmetic for a finite factor with its amalgam embedding."""
+    """Coset data of a finite factor: C's embedding and a transversal of it."""
 
     def __init__(self, factor: FiniteGroup, embed: GroupHom | None, index: int):
         self.group = factor
-        self.index = index
-        self.embed = embed
         if embed is None:
             # trivial amalgam (rank-0 abelian C): every element is its own rep
             self._preimage = {factor.identity: ()}
@@ -83,19 +81,6 @@ class _FiniteAdapter:
             self.rep_of = rep_of
             self._embed_image = lambda c: embed.images[c]
 
-    def check(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.group.order:
-            raise ElementOutOfRange(
-                f"{x!r} is not an element of factor {self.index}", factor=self.index
-            )
-        return x
-
-    def mul(self, a, b):
-        return self.group.mul(a, b)
-
-    def is_identity(self, x) -> bool:
-        return x == self.group.identity
-
     def embed_c(self, c):
         return self._embed_image(c)
 
@@ -105,16 +90,12 @@ class _FiniteAdapter:
         c = self._preimage[self.group.mul(x, self.group.inv(t))]
         return c, t
 
-    def label(self, x) -> str:
-        return self.group.label(x)
-
 
 class _AbelianAdapter:
-    """Word arithmetic for a finitely generated abelian factor."""
+    """Coset data of a finitely generated abelian factor."""
 
     def __init__(self, factor: FGAbelian, embed: IntMatrix | None, index: int, c_rank: int):
         self.group = factor
-        self.index = index
         m = factor.ngens
         if embed is None:
             embed = IntMatrix.zeros(m, 0)
@@ -137,55 +118,18 @@ class _AbelianAdapter:
                         f"embedding into factor {index} has a kernel", factor=index
                     )
 
-    def check(self, x):
-        if not isinstance(x, (tuple, list)) or len(x) != self.group.ngens:
-            raise ElementOutOfRange(
-                f"{x!r} is not a coordinate vector for factor {self.index}",
-                factor=self.index,
-            )
-        return self.group.canon(x)
-
-    def mul(self, a, b):
-        return self.group.add(a, b)
-
-    def is_identity(self, x) -> bool:
-        return all(v == 0 for v in self.group.canon(x))
-
     def embed_c(self, c):
         return self.group.canon(self.embed.matvec(c))
 
     def decompose(self, x):
-        # x - rep lies in the lattice; injectivity makes the C part of its
-        # coefficients unique, so canonicalising rep does not change it.
+        """x = embed(c) + rep, rep already canonical.
+
+        The lattice holds d_i * e_i for each torsion coordinate i, so its HNF
+        has a pivot p_i dividing d_i in row i, and reduction leaves rep_i in
+        [0, p_i). Injectivity makes the C part of the coefficients unique.
+        """
         rep, coeffs = self._membership.decompose(x)
-        return coeffs[: self._c_rank], self.group.canon(rep)
-
-    def label(self, x) -> str:
-        return self.group.element_label(x)
-
-
-class _FiniteCOps:
-    def __init__(self, C: FiniteGroup):
-        self.group = C
-        self.identity = C.identity
-
-    def mul(self, a, b):
-        return self.group.mul(a, b)
-
-    def label(self, c) -> str:
-        return self.group.label(c)
-
-
-class _AbelianCOps:
-    def __init__(self, C: FGAbelian):
-        self.group = C
-        self.identity = C.zero()
-
-    def mul(self, a, b):
-        return self.group.add(a, b)
-
-    def label(self, c) -> str:
-        return self.group.element_label(c)
+        return coeffs[: self._c_rank], rep
 
 
 class AmalgamSpec:
@@ -208,7 +152,6 @@ class AmalgamSpec:
             )
         adapters = []
         if isinstance(C, FiniteGroup):
-            self.c_ops = _FiniteCOps(C)
             for i, (f, e) in enumerate(zip(self.factors, self.embeddings)):
                 if not isinstance(f, FiniteGroup):
                     raise IncompatibleAmalgam(
@@ -224,7 +167,6 @@ class AmalgamSpec:
             if C.torsion:
                 raise IncompatibleAmalgam("an abelian amalgam subgroup must be free")
             k = C.free_rank
-            self.c_ops = _AbelianCOps(C)
             for i, (f, e) in enumerate(zip(self.factors, self.embeddings)):
                 if isinstance(f, FiniteGroup):
                     if k != 0:
@@ -266,24 +208,22 @@ def check_word(spec: AmalgamSpec, word) -> list:
         i, x = syl
         if not isinstance(i, int) or not 0 <= i < len(spec.factors):
             raise ElementOutOfRange(f"factor index {i!r} out of range")
-        out.append((i, spec.adapters[i].check(x)))
+        out.append((i, spec.factors[i].check(x)))
     return out
 
 
 def _left_mul_syllable(spec: AmalgamSpec, i: int, x, nf: NormalForm) -> NormalForm:
-    ad = spec.adapters[i]
-    cops = spec.c_ops
-    y = ad.mul(x, ad.embed_c(nf.head))
-    c1, t1 = ad.decompose(y)
-    if ad.is_identity(t1):
+    # every element here is canonical, so identity is tested by equality
+    f, ad = spec.factors[i], spec.adapters[i]
+    c1, t1 = ad.decompose(f.mul(x, ad.embed_c(nf.head)))
+    if t1 == f.identity:
         return NormalForm(head=c1, tail=nf.tail)
     if not nf.tail or nf.tail[0][0] != i:
         return NormalForm(head=c1, tail=((i, t1),) + nf.tail)
-    z = ad.mul(t1, nf.tail[0][1])
-    c2, t2 = ad.decompose(z)
-    head = cops.mul(c1, c2)
+    c2, t2 = ad.decompose(f.mul(t1, nf.tail[0][1]))
+    head = spec.amalgam.mul(c1, c2)
     rest = nf.tail[1:]
-    if ad.is_identity(t2):
+    if t2 == f.identity:
         return NormalForm(head=head, tail=rest)
     return NormalForm(head=head, tail=((i, t2),) + rest)
 
@@ -291,7 +231,7 @@ def _left_mul_syllable(spec: AmalgamSpec, i: int, x, nf: NormalForm) -> NormalFo
 def reduce(spec: AmalgamSpec, word) -> NormalForm:
     """Normal form of a raw word, by folding syllables from the right."""
     syls = check_word(spec, word)
-    nf = NormalForm(head=spec.c_ops.identity, tail=())
+    nf = NormalForm(head=spec.amalgam.identity, tail=())
     for i, x in reversed(syls):
         nf = _left_mul_syllable(spec, i, x, nf)
     return nf
@@ -300,7 +240,7 @@ def reduce(spec: AmalgamSpec, word) -> NormalForm:
 def word_label(spec: AmalgamSpec, word) -> str:
     if not word:
         return "1"
-    return " * ".join(f"{i}:{spec.adapters[i].label(x)}" for i, x in word)
+    return " * ".join(f"{i}:{spec.factors[i].label(x)}" for i, x in word)
 
 
 class InducedHom:
@@ -463,15 +403,13 @@ def identified_direct_quotient(
     x: int,
     y: int,
     max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[FiniteGroup, GroupHom]:
-    """(X x Y) / ncl((x, y^-1)), with the projection from the product.
+) -> tuple[FiniteGroup, list[GroupHom]]:
+    """(X x Y) / ncl((x, y^-1)), with the induced maps from X and Y.
 
     Implemented literally: the normal closure is computed by conjugation,
-    with no assumption that (x, y^-1) is central. Pairs are encoded
-    row-major, so (a, b) has product index a * |Y| + b.
+    with no assumption that (x, y^-1) is central.
     """
     P, injs, _ = direct_product([X, Y], max_order)
     seed = P.mul(injs[0].apply(x), P.inv(injs[1].apply(y)))
-    N = normal_closure(P, [seed])
-    D, proj = quotient_group(P, N)
-    return D, proj
+    D, proj = quotient_group(P, normal_closure(P, [seed]))
+    return D, [inj.then(proj) for inj in injs]

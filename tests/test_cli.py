@@ -460,6 +460,47 @@ def test_zero_random_word_limits_are_accepted():
     assert json.loads(out)["words_checked"] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frattini", "--spec", "{G}/s3_pair.amg", "--group", "S3", "--frattini-cap", "-1"],
+        ["certify", "--spec", "{G}/s3_pair.amg", "--theorem", "not-perfect",
+         "--frattini-cap", "-3"],
+    ],
+    ids=["frattini", "certify-not-perfect"],
+)
+def test_frattini_cap_below_one_is_usage_error(argv):
+    code, out, err = _run(argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "code": "usage-error",
+        "message": f"--frattini-cap must be at least 1; got {argv[-1]}",
+    }
+
+
+def test_oracle_check_draws_no_word_past_the_first_disagreement(monkeypatch):
+    from amalgam import cli, oracle
+
+    drawn = []
+    draw, oracle_reduce = cli._random_word, oracle.oracle_reduce
+
+    def counting_draw(*args):
+        drawn.append(args)
+        return draw(*args)
+
+    def disagreeing_reduce(spec, word):
+        # one more nonidentity syllable changes the element, so its normal form
+        return oracle_reduce(spec, list(word) + [(0, 1)])
+
+    monkeypatch.setattr(cli, "_random_word", counting_draw)
+    monkeypatch.setattr(oracle, "oracle_reduce", disagreeing_reduce)
+    code, out, err = _run(["oracle-check", "--spec", "{G}/s3_pair.amg", "--random", "100"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert (doc["words_checked"], doc["mismatch"]["name"]) == (1, "random-0")
+    assert len(drawn) == 1
+
+
 # S4xC2 (order 48) doubled over C4; both factors are one group object
 S4XC2_PAIR = (
     "group G = perm 6 { (1 2); (1 2 3 4); (5 6) }\n"

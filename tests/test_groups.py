@@ -295,6 +295,15 @@ def test_normal_closure_of_double_transposition_in_s4():
     assert nc.is_normal()
 
 
+def test_check_accepts_exactly_the_element_indices():
+    G = symmetric_group(3)
+    assert [G.check(x) for x in G.elements()] == list(range(6))
+    for bad in (-1, 6, (0,), (0, 1), "1"):
+        with pytest.raises(ElementOutOfRange) as exc:
+            G.check(bad)
+        assert exc.value.message == f"element {bad!r} out of range"
+
+
 @pytest.mark.parametrize("seed", [-1, 24])
 def test_normal_closure_rejects_out_of_range_seeds(seed):
     with pytest.raises(ElementOutOfRange):

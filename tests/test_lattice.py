@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgam.errors import InvalidGroup
+from amalgam.errors import ElementOutOfRange, InvalidGroup
 from amalgam.lattice import (
     FGAbelian,
     IntMatrix,
@@ -405,7 +405,18 @@ def test_fgabelian_validation():
 def test_fgabelian_arithmetic():
     B = FGAbelian(free_rank=1, torsion=(2,))  # Z/2 x Z, torsion coordinate first
     assert B.canon((3, 5)) == (1, 5)
-    assert B.add((1, 2), (1, -3)) == (0, -1)
+    assert B.mul((1, 2), (1, -3)) == (0, -1)
+
+
+def test_fgabelian_check_canonicalises_a_coordinate_vector():
+    B = FGAbelian(free_rank=1, torsion=(2,))
+    assert B.identity == (0, 0)
+    assert B.check((3, 5)) == (1, 5)
+    assert B.check([-1, -5]) == (1, -5)
+    assert B.label((3, 5)) == "(1,5)"
+    for bad in (3, (1,), (1, 2, 3), "ab"):
+        with pytest.raises(ElementOutOfRange):
+            B.check(bad)
 
 
 # -- abelianization from relators ----------------------------------------------

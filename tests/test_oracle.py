@@ -169,13 +169,13 @@ def reference_oracle_reduce(spec, word):
             return c == C.identity
 
     else:
-        c_identity, c_mul = C.zero(), C.add
+        c_identity, c_mul = C.identity, C.mul
 
         def c_is_id(c):
             return all(v == 0 for v in c)
 
     helpers = [_OracleFactor(spec, i) for i in range(len(spec.factors))]
-    syls = [(i, helpers[i].check(x)) for i, x in word]
+    syls = [(i, spec.factors[i].check(x)) for i, x in word]
     head = c_identity
     changed = True
     while changed:
@@ -192,7 +192,7 @@ def reference_oracle_reduce(spec, word):
         for p in range(len(syls) - 1):
             if syls[p][0] == syls[p + 1][0]:
                 i = syls[p][0]
-                syls[p : p + 2] = [(i, helpers[i].mul(syls[p][1], syls[p + 1][1]))]
+                syls[p : p + 2] = [(i, spec.factors[i].mul(syls[p][1], syls[p + 1][1]))]
                 changed = True
                 break
         if changed:
@@ -208,7 +208,7 @@ def reference_oracle_reduce(spec, word):
                 head = c_mul(head, c)
             else:
                 j, y = syls[p - 1]
-                syls[p - 1] = (j, helpers[j].mul(y, helpers[j].embed_amalgam(c)))
+                syls[p - 1] = (j, spec.factors[j].mul(y, helpers[j].embed_amalgam(c)))
             changed = True
             break
     return NormalForm(head=head, tail=tuple(syls))

@@ -1,11 +1,13 @@
 """Normal forms, the group law on words, and amalgam constructions."""
 
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam.dsl import parse, resolve
 from amalgam.errors import (
     DisagreeOnAmalgam,
     ElementOutOfRange,
@@ -90,7 +92,7 @@ def random_word(spec: AmalgamSpec, rng: random.Random, max_len: int) -> list:
 def nf_to_word(spec: AmalgamSpec, nf: NormalForm) -> list:
     """A raw word evaluating to nf (head embedded through factor 0)."""
     word = []
-    if nf.head != spec.c_ops.identity:
+    if nf.head != spec.amalgam.identity:
         word.append((0, spec.adapters[0].embed_c(nf.head)))
     word.extend(nf.tail)
     return word
@@ -113,11 +115,10 @@ def is_normal_form(spec: AmalgamSpec, nf: NormalForm) -> bool:
         return False
     prev = None
     for i, t in nf.tail:
-        ad = spec.adapters[i]
-        if ad.is_identity(t):
+        if t == spec.factors[i].identity:
             return False
-        c, rep = ad.decompose(t)
-        if rep != t or c != spec.c_ops.identity:
+        c, rep = spec.adapters[i].decompose(t)
+        if rep != t or c != spec.amalgam.identity:
             return False
         if prev == i:
             return False
@@ -219,7 +220,7 @@ def test_q8_transversal():
     reps = set()
     for x in spec.factors[0].elements():
         c, t = ad.decompose(x)
-        assert ad.mul(ad.embed_c(c), t) == x
+        assert spec.factors[0].mul(ad.embed_c(c), t) == x
         reps.add(t)
     assert sorted(reps) == [0, 2, 4, 6]
 
@@ -404,6 +405,34 @@ def test_torsion_factor_decomposition():
     assert reduce(spec, [(0, (0, 7))]) == NormalForm(head=(7,), tail=())
 
 
+def _torsion_pair() -> AmalgamSpec:
+    """(Z/6 x Z) and (Z/4 x Z) over Z, embedded through the torsion coordinates."""
+    C = FGAbelian(1, ())
+    eA = IntMatrix.from_columns([(1, 2)], rows=2)
+    eB = IntMatrix.from_columns([(2, 3)], rows=2)
+    return AmalgamSpec([FGAbelian(1, (6,)), FGAbelian(1, (4,))], C, [eA, eB])
+
+
+@pytest.mark.parametrize("source", ["lattice.amg", "mixed.amg", "torsion"])
+def test_decompose_returns_a_canonical_representative(source):
+    """reduce tests identity by equality, so representatives must come canonical."""
+    if source == "torsion":
+        spec = _torsion_pair()
+    else:
+        text = (pathlib.Path(__file__).parent / "golden" / source).read_text()
+        (spec,) = resolve(parse(text)).amalgams.values()
+    rng = random.Random(1717)
+    for f, ad in zip(spec.factors, spec.adapters):
+        if isinstance(f, FiniteGroup):
+            xs = list(f.elements())
+        else:
+            xs = [tuple(rng.randint(-20, 20) for _ in range(f.ngens)) for _ in range(200)]
+        for x in xs:
+            c, rep = ad.decompose(x)
+            assert f.check(rep) == rep
+            assert f.mul(ad.embed_c(c), rep) == f.check(x)
+
+
 def test_finite_factor_with_trivial_amalgam():
     # free product S3 * Z: the amalgam is the rank-0 abelian group
     S = symmetric_group(3)
@@ -525,19 +554,19 @@ def test_central_product_rejects_noncentral():
 def test_identified_quotient_q8():
     Q = quaternion_group()
     m = by_label(Q, "-1")
-    D, proj = identified_direct_quotient(Q, Q, m, m)
+    D, (mu, nu) = identified_direct_quotient(Q, Q, m, m)
     assert D.order == 32
-    assert proj.source.order == 64
-    assert proj.images.count(D.identity) == 2
+    assert mu.source == Q and nu.source == Q
+    assert mu.is_injective() and nu.is_injective()
     # the identified pair lands on the same element
-    assert proj.apply(m * 8) == proj.apply(m)
+    assert mu.apply(m) == nu.apply(m)
 
 
 def test_identified_quotient_s3():
     S = symmetric_group(3)
     rot = by_label(S, "(1 2 3)")
-    D, proj = identified_direct_quotient(S, S, rot, rot)
+    D, (mu, nu) = identified_direct_quotient(S, S, rot, rot)
     # conjugates of (rot, rot^-1) already generate A3 x A3
     assert D.order == 4
     assert abelian_invariants(D) == [2, 2]
-    assert proj.images.count(D.identity) == 9
+    assert mu.images.count(D.identity) == nu.images.count(D.identity) == 3
