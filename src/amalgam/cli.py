@@ -396,6 +396,10 @@ def _build_parser() -> _Parser:
     return p
 
 
+# one parser serves every run: each parse starts a fresh namespace and copies append lists
+_PARSER = _build_parser()
+
+
 def _error_payload(code: str, message: str, details=None) -> dict:
     err = {"code": code, "message": message}
     if details:
@@ -404,9 +408,8 @@ def _error_payload(code: str, message: str, details=None) -> dict:
 
 
 def run(argv, out, err) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "certify" and args.theorem is None:
             raise _UsageError("certify needs --theorem")
         if args.command in ("normal-form", "witness") and not args.word:

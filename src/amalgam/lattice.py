@@ -375,8 +375,8 @@ def lattice_kernel(M: IntMatrix) -> IntMatrix:
 class LatticeSubgroup:
     """A sublattice of Z^r given by generating columns.
 
-    Keeps the generators as supplied plus a canonical HNF basis, and supports
-    membership, canonical coset representatives, and expressing members as
+    Keeps the generators as supplied plus a canonical HNF basis, and gives
+    canonical coset representatives (zero exactly on members) and members as
     integer combinations of the original generators.
     """
 
@@ -429,9 +429,6 @@ class LatticeSubgroup:
         """Canonical representative of v modulo this lattice."""
         return self._forward(v)[0]
 
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
     def decompose(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rep, coeffs) with rep = reduce(v) and v - rep = gens * coeffs.
 
@@ -439,16 +436,6 @@ class LatticeSubgroup:
         """
         rep, q = self._forward(v)
         return rep, self._U.matvec(q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeSubgroup)
-            and self.ambient_rank == other.ambient_rank
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_rank, self.basis))
 
     def __repr__(self):
         return f"LatticeSubgroup(rank {self.rank} in Z^{self.ambient_rank})"

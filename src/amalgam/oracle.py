@@ -85,8 +85,9 @@ class _OracleFactor:
     def decompose(self, x):
         """x = (amalgam part) * (representative), recomputed by scanning."""
         if self.finite:
-            coset = sorted(self.group.mul(g, x) for g in self._image)
-            t = coset[0]
+            # C's own coset is represented by the identity, any other by its least index
+            coset = [self.group.mul(g, x) for g in self._image]
+            t = self.group.identity if self.group.identity in coset else min(coset)
             for c, g in enumerate(self._image):
                 if self.group.mul(g, t) == x:
                     return (c if self._c_finite else ()), t
@@ -149,7 +150,7 @@ def oracle_reduce(spec: AmalgamSpec, word) -> NormalForm:
         elif syls and tail and syls[-1][0] == tail[-1][0]:  # x vanished
             j, y = syls[-1]
             syls[-1] = (j, factors[j].mul(y, tail.pop()[1]))
-    return NormalForm(head=head, tail=tuple(reversed(tail)))
+    return NormalForm(head=head, tail=tuple(reversed(tail)), c_identity=c_one)
 
 
 # ------------------------------------------------------------- presentations

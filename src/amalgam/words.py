@@ -8,14 +8,19 @@ into each factor. Every element has a unique normal form
 
 where head lies in C, each t_j is a coset representative of the image of C
 inside its factor, consecutive t_j come from different factors, and no t_j is
-the identity. Representatives are chosen deterministically: the minimal
-element index per coset for finite factors, the Hermite-reduced vector for
-abelian ones, so the identity always represents the trivial coset.
+the identity. Representatives are chosen deterministically. In a finite
+factor the identity represents the image of C itself and the least element
+index represents every other coset; in an abelian factor the Hermite-reduced
+vector represents its coset, which makes the zero vector represent C's image.
+NormalForm.is_identity compares the head against C's identity, so no element
+index is assumed to be the identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import (
     DisagreeOnAmalgam,
@@ -43,13 +48,10 @@ class NormalForm:
 
     head: object
     tail: tuple
+    c_identity: object = field(compare=False)  # C's identity, for is_identity
 
     def is_identity(self) -> bool:
-        if self.tail:
-            return False
-        if isinstance(self.head, tuple):
-            return all(x == 0 for x in self.head)
-        return self.head == 0
+        return not self.tail and self.head == self.c_identity
 
     @property
     def length(self) -> int:
@@ -75,9 +77,10 @@ class _FiniteAdapter:
             for x in factor.elements():
                 if rep_of[x] != -1:
                     continue
-                coset = sorted(factor.mul(y, x) for y in image)
+                coset = [factor.mul(y, x) for y in image]
+                rep = factor.identity if x in image else min(coset)
                 for z in coset:
-                    rep_of[z] = coset[0]
+                    rep_of[z] = rep
             self.rep_of = rep_of
             self._embed_image = lambda c: embed.images[c]
 
@@ -212,29 +215,30 @@ def check_word(spec: AmalgamSpec, word) -> list:
     return out
 
 
-def _left_mul_syllable(spec: AmalgamSpec, i: int, x, nf: NormalForm) -> NormalForm:
-    # every element here is canonical, so identity is tested by equality
-    f, ad = spec.factors[i], spec.adapters[i]
-    c1, t1 = ad.decompose(f.mul(x, ad.embed_c(nf.head)))
-    if t1 == f.identity:
-        return NormalForm(head=c1, tail=nf.tail)
-    if not nf.tail or nf.tail[0][0] != i:
-        return NormalForm(head=c1, tail=((i, t1),) + nf.tail)
-    c2, t2 = ad.decompose(f.mul(t1, nf.tail[0][1]))
-    head = spec.amalgam.mul(c1, c2)
-    rest = nf.tail[1:]
-    if t2 == f.identity:
-        return NormalForm(head=head, tail=rest)
-    return NormalForm(head=head, tail=((i, t2),) + rest)
-
-
 def reduce(spec: AmalgamSpec, word) -> NormalForm:
-    """Normal form of a raw word, by folding syllables from the right."""
-    syls = check_word(spec, word)
-    nf = NormalForm(head=spec.amalgam.identity, tail=())
-    for i, x in reversed(syls):
-        nf = _left_mul_syllable(spec, i, x, nf)
-    return nf
+    """Normal form of a raw word, by one fold from the right.
+
+    Each run of syllables from one factor i is multiplied out, then by the
+    head (it lies in C) and by the nearest tail representative when that
+    comes from factor i too: all of it is one element of factor i, which a
+    single decompose splits into the new head and a representative.
+    """
+    one = head = spec.amalgam.identity
+    tail = []  # (factor, representative), right to left
+    for i, run in groupby(reversed(check_word(spec, word)), key=itemgetter(0)):
+        f, ad = spec.factors[i], spec.adapters[i]
+        _, y = next(run)
+        for _, x in run:
+            y = f.mul(x, y)
+        if head != one:
+            y = f.mul(y, ad.embed_c(head))
+        if tail and tail[-1][0] == i:
+            y = f.mul(y, tail.pop()[1])
+        head, t = ad.decompose(y)
+        # every element here is canonical, so identity is tested by equality
+        if t != f.identity:
+            tail.append((i, t))
+    return NormalForm(head=head, tail=tuple(reversed(tail)), c_identity=one)
 
 
 def word_label(spec: AmalgamSpec, word) -> str:

@@ -48,6 +48,16 @@ def test_golden_outputs_are_deterministic():
         assert first == second, case["name"]
 
 
+def test_one_parser_keeps_no_words_between_runs():
+    """equal's two --word flags do not leak into a later normal-form run."""
+    cases = {c["name"]: c for c in MANIFEST}
+    for name in ("equal_t_r", "normal_form_quad", "equal_t_r", "normal_form_loop"):
+        case = cases[name]
+        code, out, err = _run(case["argv"])
+        assert code == case["exit"] and err == ""
+        assert out == (GOLDEN / f"{name}.expected.json").read_text()
+
+
 def test_exit_code_contract_is_exercised():
     assert {c["exit"] for c in MANIFEST} == {0, 1, 2}
 

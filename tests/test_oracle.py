@@ -211,7 +211,7 @@ def reference_oracle_reduce(spec, word):
                 syls[p - 1] = (j, spec.factors[j].mul(y, helpers[j].embed_amalgam(c)))
             changed = True
             break
-    return NormalForm(head=head, tail=tuple(syls))
+    return NormalForm(head=head, tail=tuple(syls), c_identity=c_identity)
 
 
 def torsion_amalgam():

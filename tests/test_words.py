@@ -11,6 +11,7 @@ from amalgam.dsl import parse, resolve
 from amalgam.errors import (
     DisagreeOnAmalgam,
     ElementOutOfRange,
+    IdentityWord,
     IncompatibleAmalgam,
     NotAHomomorphism,
     NotCentral,
@@ -29,6 +30,7 @@ from amalgam.groups import (
     symmetric_group,
 )
 from amalgam.lattice import FGAbelian, IntMatrix
+from amalgam.oracle import oracle_reduce
 from amalgam.witness import separate_element
 from amalgam.words import (
     AbelianToFiniteHom,
@@ -40,8 +42,11 @@ from amalgam.words import (
     identified_direct_quotient,
     reduce,
     validate_spec,
+    _AbelianAdapter,
     _FiniteAdapter,
 )
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def by_label(G: FiniteGroup, s: str) -> int:
@@ -75,6 +80,11 @@ def mixed_amalgam(b_stride: int = 2) -> AmalgamSpec:
     eA = IntMatrix.from_rows([[2], [0]])
     eB = IntMatrix.from_rows([[b_stride]])
     return AmalgamSpec([A, B], C, [eA, eB])
+
+
+def golden_spec(fname: str) -> AmalgamSpec:
+    (spec,) = resolve(parse((GOLDEN / fname).read_text())).amalgams.values()
+    return spec
 
 
 def random_word(spec: AmalgamSpec, rng: random.Random, max_len: int) -> list:
@@ -251,7 +261,7 @@ def test_decompose_embedded_elements():
 def test_reduce_empty_word_is_identity():
     spec = q8_amalgam()
     nf = reduce(spec, [])
-    assert nf == NormalForm(head=spec.amalgam.identity, tail=())
+    assert nf == NormalForm(head=spec.amalgam.identity, tail=(), c_identity=0)
     assert nf.is_identity()
 
 
@@ -343,11 +353,12 @@ def test_is_normal_form_rejects_bad_tails():
     S = spec.factors[0]
     flip = by_label(S, "(1 2)")
     rot = by_label(S, "(1 2 3)")
-    assert not is_normal_form(spec, NormalForm(head=3, tail=()))  # C3 has no element 3
-    assert not is_normal_form(spec, NormalForm(head=0, tail=((0, 0),)))
-    assert not is_normal_form(spec, NormalForm(head=0, tail=((0, rot),)))
+    # C3 has no element 3
+    assert not is_normal_form(spec, NormalForm(head=3, tail=(), c_identity=0))
+    assert not is_normal_form(spec, NormalForm(head=0, tail=((0, 0),), c_identity=0))
+    assert not is_normal_form(spec, NormalForm(head=0, tail=((0, rot),), c_identity=0))
     assert not is_normal_form(
-        spec, NormalForm(head=0, tail=((0, flip), (0, flip)))
+        spec, NormalForm(head=0, tail=((0, flip), (0, flip)), c_identity=0)
     )
 
 
@@ -358,7 +369,7 @@ def test_mixed_surjective_side_absorbs():
     # the Z side is exactly the image of C, so tails never alternate
     spec = mixed_amalgam(b_stride=1)
     nf = reduce(spec, [(0, (1, 0)), (1, (5,))])
-    assert nf == NormalForm(head=(5,), tail=((0, (1, 0)),))
+    assert nf == NormalForm(head=(5,), tail=((0, (1, 0)),), c_identity=(0,))
     rng = random.Random(505)
     for _ in range(100):
         nf = reduce(spec, random_word(spec, rng, 8))
@@ -377,9 +388,9 @@ def test_mixed_head_collects_amalgam():
     spec = mixed_amalgam(b_stride=2)
     # (2, 0) is the image of the amalgam generator on the Z^2 side
     nf = reduce(spec, [(0, (2, 0))])
-    assert nf == NormalForm(head=(1,), tail=())
+    assert nf == NormalForm(head=(1,), tail=(), c_identity=(0,))
     nf = reduce(spec, [(1, (2,))])
-    assert nf == NormalForm(head=(1,), tail=())
+    assert nf == NormalForm(head=(1,), tail=(), c_identity=(0,))
 
 
 def test_mixed_inverse_and_associativity():
@@ -402,7 +413,7 @@ def test_torsion_factor_decomposition():
     c, t = spec.adapters[0].decompose((3, 5))
     assert c == (5,)
     assert t == (3, 0)
-    assert reduce(spec, [(0, (0, 7))]) == NormalForm(head=(7,), tail=())
+    assert reduce(spec, [(0, (0, 7))]) == NormalForm(head=(7,), tail=(), c_identity=(0,))
 
 
 def _torsion_pair() -> AmalgamSpec:
@@ -419,8 +430,7 @@ def test_decompose_returns_a_canonical_representative(source):
     if source == "torsion":
         spec = _torsion_pair()
     else:
-        text = (pathlib.Path(__file__).parent / "golden" / source).read_text()
-        (spec,) = resolve(parse(text)).amalgams.values()
+        spec = golden_spec(source)
     rng = random.Random(1717)
     for f, ad in zip(spec.factors, spec.adapters):
         if isinstance(f, FiniteGroup):
@@ -446,6 +456,110 @@ def test_finite_factor_with_trivial_amalgam():
     assert reduce(spec, word + inverse(spec, word)).is_identity()
     # free product: no cancellation across factors
     assert reduce(spec, [(0, flip)]) != reduce(spec, [(1, (1,))])
+
+
+# ------------------------------------------------------------- long words
+
+
+def random_syllable(spec: AmalgamSpec, rng: random.Random, i: int) -> tuple:
+    """A random element of factor i; a quarter of them lie in the image of C."""
+    f, C = spec.factors[i], spec.amalgam
+    if rng.random() < 0.25:
+        if isinstance(C, FiniteGroup):
+            return i, spec.adapters[i].embed_c(rng.randrange(C.order))
+        return i, spec.adapters[i].embed_c(tuple(rng.randint(-2, 2) for _ in range(C.ngens)))
+    if isinstance(f, FiniteGroup):
+        return i, rng.randrange(f.order)
+    return i, tuple(rng.randint(-3, 3) for _ in range(f.ngens))
+
+
+@pytest.mark.parametrize("fname", ["q8_pair.amg", "mixed.amg", "lattice.amg"])
+def test_reduce_decomposes_once_per_run(fname, monkeypatch):
+    """A run of syllables from one factor costs a single decompose."""
+    spec = golden_spec(fname)
+    rng = random.Random(19)
+    n, run = 1000, 4
+    word = [random_syllable(spec, rng, (k // run) % len(spec.factors)) for k in range(n)]
+    calls = [0]
+
+    def counted(method):
+        def wrapper(self, x):
+            calls[0] += 1
+            return method(self, x)
+
+        return wrapper
+
+    for adapter in (_FiniteAdapter, _AbelianAdapter):
+        monkeypatch.setattr(adapter, "decompose", counted(adapter.decompose))
+    nf = reduce(spec, word)
+    assert calls[0] <= n // run
+    monkeypatch.undo()
+    assert nf == oracle_reduce(spec, word)
+
+
+@pytest.mark.parametrize("fname", ["q8_pair.amg", "s3_pair.amg", "mixed.amg", "lattice.amg"])
+def test_reduce_matches_oracle_on_long_words(fname):
+    """2,000-syllable words, far past the spec format's 64-syllable cap."""
+    spec = golden_spec(fname)
+    rng = random.Random(2000)
+    for _ in range(3):
+        word = [random_syllable(spec, rng, rng.randrange(len(spec.factors))) for _ in range(2000)]
+        nf = reduce(spec, word)
+        assert nf == oracle_reduce(spec, word)
+        assert is_normal_form(spec, nf)
+        assert reduce(spec, word + inverse(spec, word)).is_identity()
+
+
+# ------------------------------------------------- identity not at index 0
+
+
+def relabelled(G: FiniteGroup, perm) -> FiniteGroup:
+    """G with each element a renamed perm[a]."""
+    back = {p: a for a, p in enumerate(perm)}
+    return FiniteGroup(
+        [[perm[G.mul(back[a], back[b])] for b in range(G.order)] for a in range(G.order)]
+    )
+
+
+def test_relabelled_factor_identity_represents_the_amalgam_coset():
+    # S3 with its identity at element 5, glued over C2 along a transposition
+    S3 = symmetric_group(3)
+    perm = [5, 0, 1, 2, 3, 4]
+    S = relabelled(S3, perm)
+    assert S.identity == 5
+    t = perm[by_label(S3, "(1 2)")]
+    C = cyclic_group(2)
+    e = hom_from_generator_images(C, S, {1: t})
+    spec = AmalgamSpec([S, S], C, [e, e])
+    assert spec.adapters[0].decompose(S.identity) == (C.identity, S.identity)
+    assert spec.adapters[0].decompose(t) == (1, S.identity)
+    for word in ([(0, S.identity)], [(0, t), (1, t)]):
+        nf = reduce(spec, word)
+        assert nf.length == 0 and nf.is_identity()
+        assert nf == oracle_reduce(spec, word)
+    rng = random.Random(55)
+    for _ in range(50):
+        word = random_word(spec, rng, 8)
+        nf = reduce(spec, word)
+        assert is_normal_form(spec, nf)
+        assert nf == oracle_reduce(spec, word)
+        assert reduce(spec, word + inverse(spec, word)).is_identity()
+
+
+def test_relabelled_amalgam_identity_is_the_identity_head():
+    # C2 with its identity at element 1, glued into two copies of Q8 along -1
+    C = relabelled(cyclic_group(2), [1, 0])
+    assert C.identity == 1
+    Q = quaternion_group()
+    e = hom_from_generator_images(C, Q, {0: by_label(Q, "-1")})
+    spec = AmalgamSpec([Q, Q], C, [e, e])
+    assert reduce(spec, []).is_identity()
+    assert oracle_reduce(spec, []).is_identity()
+    minus_one = by_label(Q, "-1")
+    assert not reduce(spec, [(0, minus_one)]).is_identity()
+    assert reduce(spec, [(0, minus_one), (1, minus_one)]).is_identity()
+    with pytest.raises(IdentityWord):
+        separate_element(spec, [])
 
 
 # ------------------------------------------------------------- induced maps
