@@ -5,6 +5,12 @@ identity always at index 0 for groups built by the constructors here. Every
 constructor verifies the group axioms exactly (associativity by Light's test
 on a generating set, O(n^2) per generator), so any FiniteGroup that exists
 behaves like one.
+
+Each table is one read-only, C-contiguous array in the narrowest signed
+integer type that holds its indices: int16 up to order 2^15, int32 above.
+The constructors build their tables in that type, and validation reads the
+table in blocks of rows of about 2^20 cells, so no temporary the size of the
+whole table is made beyond the group's own copy.
 """
 
 from __future__ import annotations
@@ -26,6 +32,19 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 5000
 DEFAULT_LATTICE_CAP = 256
+# table validation reads the rows in blocks of about this many cells
+_ROW_BLOCK_CELLS = 1 << 20
+
+
+def _index_dtype(order: int):
+    """The narrowest signed integer type that holds every index below order."""
+    return np.int16 if order <= 1 << 15 else np.int32
+
+
+def _row_blocks(n: int):
+    """Slices covering the rows of an n x n table, about _ROW_BLOCK_CELLS cells each."""
+    step = max(1, _ROW_BLOCK_CELLS // n)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 class FiniteGroup:
@@ -36,35 +55,53 @@ class FiniteGroup:
     small_generators is a generating set of at most log2(order) of them,
     chosen greedily in order. labels are display-only and never enter any
     computation. Two groups are equal exactly when their tables are equal.
+
+    The entries must be in range and of a fixed-width integer type; floats,
+    bools and integers too large for a machine integer raise InvalidGroup.
+    The group keeps its own read-only, C-contiguous copy of the table, int16
+    up to order 2^15 and int32 above, and `inverses` in the same type. The
+    inverse and associativity checks read the table one block of rows at a
+    time.
     """
 
     def __init__(self, table, generator_indices=None, labels=None, name: str = ""):
-        t = np.array(table, dtype=np.int64)
+        t = np.asarray(table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidGroup(f"table shape {t.shape} is not square")
         n = int(t.shape[0])
         if n == 0:
             raise InvalidGroup("a group has at least the identity")
+        if t.dtype.kind not in "iu":
+            raise InvalidGroup(f"table entries of type {t.dtype} are not fixed-width integers")
+        # range first, in the given type, so that no entry wraps when narrowed
         if t.min() < 0 or t.max() >= n:
             raise InvalidGroup("table entries out of range")
+        t = np.array(t, dtype=_index_dtype(n), order="C")
+        t.setflags(write=False)
         self.order = n
         self.table = t
-        self.table.setflags(write=False)
 
-        ar = np.arange(n)
-        two_sided = (t == ar[None, :]).all(axis=1) & (t == ar[:, None]).all(axis=0)
-        if not two_sided.any():
+        # e * 0 = 0 only for e = the identity of a group, so only the rows
+        # with t[e, 0] == 0 can hold the least two-sided identity
+        ar = np.arange(n, dtype=t.dtype)
+        for e in np.flatnonzero(t[:, 0] == 0).tolist():
+            if np.array_equal(t[e], ar) and np.array_equal(t[:, e], ar):
+                break
+        else:
             raise InvalidGroup("no two-sided identity in table")
-        ident = int(two_sided.argmax())
-        self.identity = ident
+        self.identity = ident = e
 
-        hits = t == ident
-        inv = hits.argmax(axis=1)
-        bad = (hits.sum(axis=1) != 1) | (t[inv, ar] != ident)
-        if bad.any():
-            raise InvalidGroup(f"element {int(bad.argmax())} lacks a unique two-sided inverse")
-        self.inverses = inv.astype(np.int64)
-        self.inverses.setflags(write=False)
+        inv = np.empty(n, dtype=t.dtype)
+        for rows in _row_blocks(n):
+            hits = t[rows] == ident
+            inv[rows] = hits.argmax(axis=1)
+            bad = (hits.sum(axis=1) != 1) | (t[inv[rows], ar[rows]] != ident)
+            if bad.any():
+                raise InvalidGroup(
+                    f"element {rows.start + int(bad.argmax())} lacks a unique two-sided inverse"
+                )
+        inv.setflags(write=False)
+        self.inverses = inv
 
         if generator_indices is None:
             generator_indices = tuple(x for x in range(n) if x != ident)
@@ -81,9 +118,15 @@ class FiniteGroup:
         # S holds the identity, and a, b in S give (x(ab))y = ((xa)b)y =
         # (xa)(by) = x(a(by)) = x((ab)y), so S holds everything gens reach.
         for a in gens:
-            if not np.array_equal(t[t[:, a]], t[:, t[a]]):
+            if not all(
+                np.array_equal(t[t[rows, a]], t[rows][:, t[a]]) for rows in _row_blocks(n)
+            ):
                 first = next(
-                    x for x in range(n) if not np.array_equal(t[t[x]], t[x][t])
+                    x
+                    for x in range(n)
+                    if not all(
+                        np.array_equal(t[t[x, rows]], t[x][t[rows]]) for rows in _row_blocks(n)
+                    )
                 )
                 raise InvalidGroup(f"associativity fails at element {first}")
         self.small_generators = tuple(gens)
@@ -540,7 +583,7 @@ def direct_product(
     sizes = [g.order for g in groups]
     # mixed radix, first factor most significant: x = sum of digit_i * weight_i
     weights = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
-    table = np.zeros((1, 1), dtype=np.int64)
+    table = np.zeros((1, 1), dtype=_index_dtype(n))
     for g in groups:
         m, s = table.shape[0], g.order
         table = (table[:, None, :, None] * s + g.table[None, :, None, :]).reshape(m * s, m * s)
@@ -696,17 +739,16 @@ def group_from_permutations(
                 via.append(j)
             right[j].append(index[y])
     n = len(elems)
-    right = [np.array(col, dtype=np.int64) for col in right]
+    dtype = _index_dtype(n)
+    right = [np.array(col, dtype=dtype) for col in right]
     # row y of `cols` is column y of the table: x * y = (x * parent) * gen
-    cols = np.empty((n, n), dtype=np.int64)
+    cols = np.empty((n, n), dtype=dtype)
     cols[0] = np.arange(n)
     for y in range(1, n):
         cols[y] = right[via[y]][cols[parent[y]]]
     labels = tuple(cycle_label(p) for p in elems)
     gen_idx = tuple(dict.fromkeys(index[g] for g in gens))
-    return FiniteGroup(
-        np.ascontiguousarray(cols.T), generator_indices=gen_idx or None, labels=labels, name=name
-    )
+    return FiniteGroup(cols.T, generator_indices=gen_idx or None, labels=labels, name=name)
 
 
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
@@ -716,8 +758,9 @@ def cyclic_group(n: int, name: str = "") -> FiniteGroup:
         raise ClosureCapExceeded(
             f"cyclic order {n} exceeds cap {DEFAULT_MAX_ORDER}", cap=DEFAULT_MAX_ORDER, order=n
         )
-    ar = np.arange(n)
-    table = (ar[:, None] + ar[None, :]) % n
+    ar = np.arange(n, dtype=_index_dtype(n))
+    table = np.add.outer(ar, ar)  # below 2 * DEFAULT_MAX_ORDER, so no sum wraps
+    np.remainder(table, n, out=table)
     labels = tuple("e" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
     gens = (1,) if n > 1 else None
     return FiniteGroup(table, generator_indices=gens, labels=labels, name=name or f"C{n}")

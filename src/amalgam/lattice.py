@@ -8,7 +8,7 @@ enters at any stage, so all outputs are exactly reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 from .errors import ElementOutOfRange, IncompatibleAmalgam, InvalidGroup
@@ -452,6 +452,8 @@ class FGAbelian:
 
     free_rank: int
     torsion: tuple[int, ...] = ()
+    ngens: int = field(init=False, repr=False, compare=False)
+    identity: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -464,14 +466,9 @@ class FGAbelian:
                 raise InvalidGroup(
                     f"torsion {list(self.torsion)} is not a divisibility chain"
                 )
-
-    @property
-    def ngens(self) -> int:
-        return self.free_rank + len(self.torsion)
-
-    @property
-    def identity(self) -> tuple[int, ...]:
-        return (0,) * self.ngens
+        ngens = self.free_rank + len(self.torsion)
+        object.__setattr__(self, "ngens", ngens)
+        object.__setattr__(self, "identity", (0,) * ngens)
 
     def canon(self, v) -> tuple[int, ...]:
         v = [int(x) for x in v]
@@ -488,7 +485,11 @@ class FGAbelian:
         return self.canon(v)
 
     def mul(self, a, b) -> tuple[int, ...]:
-        return self.canon([x + y for x, y in zip(a, b, strict=True)])
+        """a + b for canonical a and b, with its torsion coordinates reduced."""
+        v = [x + y for x, y in zip(a, b, strict=True)]
+        for i, d in enumerate(self.torsion):
+            v[i] %= d
+        return tuple(v)
 
     def relation_columns(self) -> list[tuple[int, ...]]:
         """Columns of Z^ngens that are identified with zero (the torsion)."""

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam import groups
 from amalgam.errors import (
     ClosureCapExceeded,
     ElementOutOfRange,
@@ -252,13 +254,114 @@ def test_latin_squares_accepted_exactly_when_associative(n, rng):
         assert associative
 
 
+def _relabelled(G, perm):
+    """G's table with element x renamed perm[x]."""
+    back = {p: i for i, p in enumerate(perm)}
+    return [[perm[G.mul(back[a], back[b])] for b in range(G.order)] for a in range(G.order)]
+
+
 def test_relabelled_groups_accepted():
     rng = random.Random(5)
     for G in (cyclic_group(6), symmetric_group(3), dihedral_group(4), quaternion_group()):
         perm = [0] + rng.sample(range(1, G.order), G.order - 1)
-        back = {p: i for i, p in enumerate(perm)}
-        table = [[perm[G.mul(back[a], back[b])] for b in range(G.order)] for a in range(G.order)]
-        assert FiniteGroup(table).order == G.order
+        assert FiniteGroup(_relabelled(G, perm)).order == G.order
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[[0, 1.5], [1.5, 0]], [[True, False], [False, True]], [[0, 2**70], [2**70, 0]]],
+    ids=["float", "bool", "huge"],
+)
+def test_non_integer_tables_rejected(table):
+    with pytest.raises(InvalidGroup, match="not fixed-width integers"):
+        FiniteGroup(table)
+
+
+def test_range_is_checked_before_narrowing():
+    # 65,537 would wrap to 1 in int16
+    with pytest.raises(InvalidGroup, match="out of range"):
+        FiniteGroup([[0, 1], [1, 65537]])
+    with pytest.raises(InvalidGroup, match="out of range"):
+        FiniteGroup(np.array([[0, 1], [1, 65537]], dtype=np.int64))
+
+
+def test_index_dtype_is_the_narrowest_that_holds_every_index():
+    assert groups._index_dtype(1) is np.int16
+    assert groups._index_dtype(2**15) is np.int16
+    assert groups._index_dtype(2**15 + 1) is np.int32
+
+
+def _s3_over_a3():
+    G = symmetric_group(3)
+    return quotient_group(G, normal_closure(G, [G.labels.index("(1 2 3)")]))[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: cyclic_group(12),
+        lambda: direct_product([symmetric_group(3), cyclic_group(4)])[0],
+        lambda: symmetric_group(4),
+        _s3_over_a3,
+        lambda: FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    ],
+    ids=["cyclic", "direct_product", "permutations", "quotient", "list"],
+)
+def test_tables_are_int16_read_only_and_contiguous(make):
+    G = make()
+    for arr in (G.table, G.inverses):
+        assert arr.dtype == np.int16
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def _traced_peak_over_table(build):
+    tracemalloc.start()
+    try:
+        G = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / G.table.nbytes
+
+
+def test_table_builds_peak_below_three_tables():
+    C32, C64 = cyclic_group(32), cyclic_group(64)
+    assert _traced_peak_over_table(lambda: cyclic_group(2048)) < 3
+    assert _traced_peak_over_table(lambda: direct_product([C32, C64])[0]) < 3
+
+
+def _validation_outcome(table):
+    try:
+        G = FiniteGroup(table)
+    except InvalidGroup as e:
+        return str(e)
+    return G.identity, G.inverses.tolist(), G.small_generators
+
+
+def _block_test_tables():
+    C6 = cyclic_group(6).table.tolist()
+    two_inverses = [row[:] for row in C6]
+    two_inverses[4][3] = 0  # 4 * 2 = 4 * 3 = 0
+    one_sided = [row[:] for row in C6]
+    one_sided[5][1], one_sided[5][2] = 1, 0  # 1 * 5 = 0, but 5 * 1 = 1
+    s3_at_5 = _relabelled(symmetric_group(3), [5, 0, 1, 2, 3, 4])
+    rng = random.Random(11)
+    latin = [_random_latin_square(n, rng) for n in (4, 5, 6) for _ in range(10)]
+    return [LOOP5, LOOP5_C2, two_inverses, one_sided, s3_at_5, *latin]
+
+
+@pytest.mark.parametrize("cells", [1, 16])
+def test_row_blocks_do_not_change_outcomes(monkeypatch, cells):
+    tables = _block_test_tables()
+    whole = [_validation_outcome(t) for t in tables]
+    assert whole[0] == f"associativity fails at element {brute_first_nonassociative(LOOP5)}"
+    assert whole[1] == f"associativity fails at element {brute_first_nonassociative(LOOP5_C2)}"
+    assert whole[2] == "element 4 lacks a unique two-sided inverse"
+    assert whole[3] == "element 1 lacks a unique two-sided inverse"
+    assert whole[4][0] == 5
+    monkeypatch.setattr(groups, "_ROW_BLOCK_CELLS", cells)
+    assert len(groups._row_blocks(5)) > 1
+    assert [_validation_outcome(t) for t in tables] == whole
 
 
 def test_cycle_label_roundtrip():

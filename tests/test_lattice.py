@@ -408,6 +408,14 @@ def test_fgabelian_arithmetic():
     assert B.mul((1, 2), (1, -3)) == (0, -1)
 
 
+def test_fgabelian_ngens_and_identity_are_set_at_construction():
+    A = FGAbelian(1, (2, 4))
+    assert vars(A)["ngens"] == 3 and vars(A)["identity"] == (0, 0, 0)
+    assert A == FGAbelian(1, (2, 4)) and hash(A) == hash(FGAbelian(1, (2, 4)))
+    assert repr(A) == "FGAbelian(free_rank=1, torsion=(2, 4))"
+    assert A.mul((1, 3, 5), (1, 3, -7)) == A.canon((2, 6, -2)) == (0, 2, -2)
+
+
 def test_fgabelian_check_canonicalises_a_coordinate_vector():
     B = FGAbelian(free_rank=1, torsion=(2,))
     assert B.identity == (0, 0)
