@@ -16,13 +16,15 @@ identity symbol e. Word syllables name their factor either by group name
 (which must occur exactly once among the factors) or by 0-based position.
 Blank lines and ``#`` comments are ignored. In ``abelian [...]`` literals
 the torsion divisors (>= 2) must precede the free markers (0) so that
-generator numbers match coordinates.
+generator numbers match coordinates. A perm degree is at most
+MAX_PERM_DEGREE.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     EmbeddingTypeMismatch,
@@ -44,27 +46,40 @@ from .lattice import FGAbelian, IntMatrix
 from .words import AmalgamSpec
 
 MAX_WORD_SYLLABLES = 64
+# largest perm degree a spec may declare; the largest in use here is 14
+MAX_PERM_DEGREE = 1000
 
+# One match per token, with the blanks before it. A well-formed cycle of
+# nonnegative points is matched whole: its token is the "(" (kind "cycle"),
+# and the parser reads its points from the line. Any other "(" is punct and
+# its points are tokens of their own. A comment, or a character that starts
+# no token ("bad"), takes the rest of the line, so it is the last match.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t]+)"
-    r"|(?P<comment>#.*)"
+    r"[ \t]*(?:"
+    r"(?P<comment>#.*)"
     r"|(?P<arrow>->)"
     r"|(?P<num>-?\d+)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)"
+    r"|(?P<cycle>\()[ \t]*(?:\d+(?:[ \t]+\d+)*[ \t]*)?\)"
     r"|(?P<punct>[={}()\[\],;:*^])"
+    r"|(?P<bad>[^ \t].*)"
+    r")"
 )
+_POINT_RE = re.compile(r"\d+")
+_GEN_RE = re.compile(r"g(\d*)")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
+class Token(NamedTuple):
+    kind: str  # "arrow" | "num" | "ident" | "cycle" | "punct"
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
-class Atom:
+_new_tuple = tuple.__new__
+
+
+class Atom(NamedTuple):
     """One factor of an element expression, with its exponent."""
 
     kind: str  # "gen" | "cycle" | "identity"
@@ -73,8 +88,7 @@ class Atom:
     power: int = 1
 
 
-@dataclass(frozen=True)
-class ElementExpr:
+class ElementExpr(NamedTuple):
     atoms: tuple
 
 
@@ -133,31 +147,38 @@ class SpecFile:
 
 
 class _Cursor:
-    """Token stream over one statement line."""
+    """Token stream over one statement line; a None sentinel marks its end."""
 
-    def __init__(self, tokens, line: int, length: int):
+    def __init__(self, tokens, line: int, text: str):
+        tokens.append(None)
         self.tokens = tokens
         self.pos = 0
         self.line = line
-        self.end_col = length + 1
+        self.text = text
+        self.end_col = len(text) + 1
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
+
+    def _end_of_line(self, expected: str) -> ParseError:
+        return ParseError(
+            f"unexpected end of line, expected {expected}",
+            self.line,
+            self.end_col,
+            expected=expected,
+        )
 
     def next(self, expected: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok is None:
-            raise ParseError(
-                f"unexpected end of line, expected {expected}",
-                self.line,
-                self.end_col,
-                expected=expected,
-            )
+            raise self._end_of_line(expected)
         self.pos += 1
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.next(repr(text))
+        tok = self.tokens[self.pos]
+        if tok is None:
+            raise self._end_of_line(repr(text))
         if tok.text != text:
             raise ParseError(
                 f"expected {text!r}, found {tok.text!r}",
@@ -165,6 +186,7 @@ class _Cursor:
                 tok.col,
                 expected=text,
             )
+        self.pos += 1
         return tok
 
     def expect_ident(self, what: str) -> Token:
@@ -191,24 +213,24 @@ class _Cursor:
             )
 
 
-def _tokenize_line(text: str, line_no: int):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
+def _tokenize_line(text: str, line_no: int) -> list:
+    # tuple.__new__ skips the Python-level Token.__new__
+    tokens = [
+        _new_tuple(Token, ((kind := m.lastgroup), m[kind], line_no, m.start(kind) + 1))
+        for m in _TOKEN_RE.finditer(text)
+    ]
+    if tokens and tokens[-1].kind in ("comment", "bad"):
+        last = tokens.pop()
+        if last.kind == "bad":
             raise ParseError(
-                f"unrecognized character {text[pos]!r}", line_no, pos + 1, expected="token"
+                f"unrecognized character {last.text[0]!r}", line_no, last.col,
+                expected="token",
             )
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
     return tokens
 
 
 def _parse_gen_symbol(tok: Token, gen_count: int) -> int:
-    m = re.fullmatch(r"g(\d*)", tok.text)
+    m = _GEN_RE.fullmatch(tok.text)
     if m is None:
         raise ParseError(
             f"expected a generator symbol, found {tok.text!r}",
@@ -227,8 +249,14 @@ def _parse_gen_symbol(tok: Token, gen_count: int) -> int:
     return idx
 
 
+def _point_error(p: int, degree: int, line: int, col: int) -> ParseError:
+    return ParseError(
+        f"point {p} outside degree {degree}", line, col, expected=f"1..{degree}"
+    )
+
+
 def _parse_cycle(cur: _Cursor, decl: GroupDecl) -> tuple:
-    open_tok = cur.expect("(")
+    open_tok = cur.next("'('")  # callers have seen the "("
     if decl.kind != "perm":
         raise ParseError(
             "cycle notation is only valid in permutation groups",
@@ -236,25 +264,29 @@ def _parse_cycle(cur: _Cursor, decl: GroupDecl) -> tuple:
             open_tok.col,
             expected="generator symbol",
         )
-    points = []
+    degree = decl.degree
+    if open_tok.kind == "cycle":
+        # the points up to ")" are digit runs between blanks
+        start = open_tok.col  # index just past the "("
+        body = cur.text[start : cur.text.index(")", start)]
+        points = tuple(map(int, body.split()))
+        if points and (min(points) < 1 or max(points) > degree):
+            for m in _POINT_RE.finditer(body):
+                p = int(m[0])
+                if not 1 <= p <= degree:
+                    raise _point_error(p, degree, open_tok.line, start + m.start() + 1)
+        return points
+    # Any other "(" is not followed by points in range and blanks up to a
+    # ")", so this walk over its tokens ends at the first error.
     while True:
         tok = cur.next("a point or ')'")
-        if tok.text == ")":
-            break
         if tok.kind != "num":
             raise ParseError(
                 f"expected a point, found {tok.text!r}", tok.line, tok.col, expected="integer"
             )
         p = int(tok.text)
-        if not 1 <= p <= decl.degree:
-            raise ParseError(
-                f"point {p} outside degree {decl.degree}",
-                tok.line,
-                tok.col,
-                expected=f"1..{decl.degree}",
-            )
-        points.append(p)
-    return tuple(points)
+        if not 1 <= p <= degree:
+            raise _point_error(p, degree, tok.line, tok.col)
 
 
 def _parse_power(cur: _Cursor) -> int:
@@ -304,10 +336,18 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
     kind_tok = cur.expect_ident("perm, cyclic, free-abelian, or abelian")
     kind = kind_tok.text
     if kind == "perm":
+        degree_tok = cur.peek()
         degree = cur.expect_number("a degree")
         if degree < 1:
             raise ParseError(
                 f"degree {degree} must be positive", kind_tok.line, kind_tok.col
+            )
+        if degree > MAX_PERM_DEGREE:
+            raise ParseError(
+                f"degree {degree} exceeds the cap {MAX_PERM_DEGREE}",
+                degree_tok.line,
+                degree_tok.col,
+                expected=f"1..{MAX_PERM_DEGREE}",
             )
         cur.expect("{")
         shell = GroupDecl(name, "perm", degree=degree)
@@ -318,7 +358,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
                 cur.next("'}'")
                 break
             cycles = []
-            while cur.peek() is not None and cur.peek().text == "(":
+            while (tok := cur.peek()) is not None and tok.text == "(":
                 cycles.append(_parse_cycle(cur, shell))
             if not cycles:
                 tok = cur.next("a cycle")
@@ -549,7 +589,7 @@ def parse(text: str) -> SpecFile:
         tokens = _tokenize_line(raw, line_no)
         if not tokens:
             continue
-        cur = _Cursor(tokens, line_no, len(raw))
+        cur = _Cursor(tokens, line_no, raw)
         head = cur.next("a statement")
         if head.kind != "ident" or head.text not in ("group", "embed", "amalgam", "word"):
             raise ParseError(
@@ -671,40 +711,70 @@ def _perm_pow(p, k: int):
     return out
 
 
-def _perm_element_index(G: FiniteGroup, perm) -> int:
-    label = cycle_label(perm)
-    try:
-        return G.labels.index(label)
-    except ValueError:
-        raise ResolutionError(
-            f"permutation {label} is not an element of {G.name or 'the group'}",
-            name=label,
-        ) from None
+class _Lookups:
+    """Tables that live for one resolve call: declarations by name, atom
+    permutations, and element indices in each permutation group."""
+
+    def __init__(self, sf: SpecFile):
+        self.decls = {d.name: d for d in sf.declarations}
+        self._perms = {}  # (degree, cycles, power) -> permutation
+        self._labels = {}  # group name -> {cycle label: element index}
+        self._exprs = {}  # (group name, ElementExpr) -> element index
+
+    def perm(self, degree: int, cycles: tuple, power: int = 1):
+        key = (degree, cycles, power)
+        p = self._perms.get(key)
+        if p is None:
+            p = perm_from_cycles(degree, cycles)
+            if power != 1:
+                p = _perm_pow(p, power)
+            self._perms[key] = p
+        return p
+
+    def index(self, G: FiniteGroup, perm) -> int:
+        labels = self._labels.get(G.name)
+        if labels is None:
+            labels = self._labels[G.name] = {s: i for i, s in enumerate(G.labels)}
+        label = cycle_label(perm)
+        idx = labels.get(label)
+        if idx is None:
+            raise ResolutionError(
+                f"permutation {label} is not an element of {G.name or 'the group'}",
+                name=label,
+            )
+        return idx
+
+    def evaluate(self, expr: ElementExpr, decl: GroupDecl, G: FiniteGroup) -> int:
+        """Index in the permutation group G of the product of expr's atoms."""
+        key = (decl.name, expr)
+        idx = self._exprs.get(key)
+        if idx is None:
+            # whole expression composes as permutations, so juxtaposed cycles
+            # form one element even when the pieces are not members themselves
+            acc = None
+            for atom in expr.atoms:
+                if atom.kind == "identity":
+                    continue
+                if atom.kind == "gen":
+                    cycles = decl.generators[atom.index - 1]
+                else:
+                    cycles = (atom.points,)
+                p = self.perm(decl.degree, cycles, atom.power)
+                acc = p if acc is None else _perm_mul(acc, p)
+            idx = self.index(G, tuple(range(decl.degree)) if acc is None else acc)
+            self._exprs[key] = idx
+        return idx
 
 
-def _finite_generator_elements(decl: GroupDecl, G: FiniteGroup) -> list:
+def _finite_generator_elements(decl: GroupDecl, G: FiniteGroup, look: _Lookups) -> list:
     if decl.kind == "cyclic":
         return [1]
-    return [
-        _perm_element_index(G, perm_from_cycles(decl.degree, cycles))
-        for cycles in decl.generators
-    ]
+    return [look.index(G, look.perm(decl.degree, cycles)) for cycles in decl.generators]
 
 
-def _eval_finite(expr: ElementExpr, decl: GroupDecl, G: FiniteGroup) -> int:
+def _eval_finite(expr: ElementExpr, decl: GroupDecl, G: FiniteGroup, look: _Lookups) -> int:
     if decl.kind == "perm":
-        # whole expression composes as permutations, so juxtaposed cycles
-        # form one element even when the pieces are not members themselves
-        acc = tuple(range(decl.degree))
-        for atom in expr.atoms:
-            if atom.kind == "identity":
-                continue
-            if atom.kind == "gen":
-                base = perm_from_cycles(decl.degree, decl.generators[atom.index - 1])
-            else:
-                base = perm_from_cycles(decl.degree, [atom.points])
-            acc = _perm_mul(acc, _perm_pow(base, atom.power))
-        return _perm_element_index(G, acc)
+        return look.evaluate(expr, decl, G)
     out = G.identity
     for atom in expr.atoms:
         if atom.kind != "gen":
@@ -723,9 +793,9 @@ def _eval_abelian(expr: ElementExpr, A: FGAbelian) -> tuple:
     return A.canon(v)
 
 
-def _build_group(decl: GroupDecl):
+def _build_group(decl: GroupDecl, look: _Lookups):
     if decl.kind == "perm":
-        gens = [perm_from_cycles(decl.degree, cycles) for cycles in decl.generators]
+        gens = [look.perm(decl.degree, cycles) for cycles in decl.generators]
         return group_from_permutations(decl.degree, gens, name=decl.name)
     if decl.kind == "cyclic":
         return cyclic_group(decl.order, name=decl.name)
@@ -736,18 +806,17 @@ def _build_group(decl: GroupDecl):
     return FGAbelian(free_rank, torsion)
 
 
-def _build_embed(decl: EmbedDecl, ctx: ResolvedSpec, sf: SpecFile):
-    src_decl = sf.by_name(decl.source)
-    tgt_decl = sf.by_name(decl.target)
+def _build_embed(decl: EmbedDecl, ctx: ResolvedSpec, look: _Lookups):
     C = ctx.groups[decl.source]
     G = ctx.groups[decl.target]
     exprs = dict(decl.images)
     if isinstance(C, FiniteGroup) and isinstance(G, FiniteGroup):
-        gen_elems = _finite_generator_elements(src_decl, C)
+        tgt_decl = look.decls[decl.target]
+        gen_elems = _finite_generator_elements(look.decls[decl.source], C, look)
         mapping: dict[int, int] = {}
         for i, e in exprs.items():
             key = gen_elems[i - 1]
-            img = _eval_finite(e, tgt_decl, G)
+            img = _eval_finite(e, tgt_decl, G, look)
             if key in mapping and mapping[key] != img:
                 raise NotAHomomorphism(
                     f"generators g{i} and an earlier one are the same element "
@@ -772,13 +841,18 @@ def _build_embed(decl: EmbedDecl, ctx: ResolvedSpec, sf: SpecFile):
 
 
 def resolve(sf: SpecFile) -> ResolvedSpec:
-    """Build groups, homomorphisms, amalgams, and words from a parse tree."""
+    """Build groups, homomorphisms, amalgams, and words from a parse tree.
+
+    Every declaration is built and checked, whether or not a later command
+    reads it.
+    """
     ctx = ResolvedSpec(source=sf)
+    look = _Lookups(sf)
     for decl in sf.declarations:
         if isinstance(decl, GroupDecl):
-            ctx.groups[decl.name] = _build_group(decl)
+            ctx.groups[decl.name] = _build_group(decl, look)
         elif isinstance(decl, EmbedDecl):
-            ctx.embeds[decl.name] = _build_embed(decl, ctx, sf)
+            ctx.embeds[decl.name] = _build_embed(decl, ctx, look)
         elif isinstance(decl, AmalgamDecl):
             ctx.amalgams[decl.name] = AmalgamSpec(
                 [ctx.groups[f] for f in decl.factors],
@@ -786,15 +860,14 @@ def resolve(sf: SpecFile) -> ResolvedSpec:
                 [ctx.embeds[e] for e in decl.embeds],
             )
         else:
-            adecl = sf.by_name(decl.amalgam)
+            factors = look.decls[decl.amalgam].factors
             word = []
             for ref, expr in decl.syllables:
-                idx = ref[1] if ref[0] == "index" else adecl.factors.index(ref[1])
-                fname = adecl.factors[idx]
-                fdecl = sf.by_name(fname)
+                idx = ref[1] if ref[0] == "index" else factors.index(ref[1])
+                fname = factors[idx]
                 F = ctx.groups[fname]
                 if isinstance(F, FiniteGroup):
-                    word.append((idx, _eval_finite(expr, fdecl, F)))
+                    word.append((idx, _eval_finite(expr, look.decls[fname], F, look)))
                 else:
                     word.append((idx, _eval_abelian(expr, F)))
             ctx.words[decl.name] = (decl.amalgam, word)

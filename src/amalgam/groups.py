@@ -65,7 +65,10 @@ class FiniteGroup:
     """
 
     def __init__(self, table, generator_indices=None, labels=None, name: str = ""):
-        t = np.asarray(table)
+        try:
+            t = np.asarray(table)
+        except ValueError:  # numpy's "inhomogeneous shape" for ragged rows
+            raise InvalidGroup("table rows differ in length") from None
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise InvalidGroup(f"table shape {t.shape} is not square")
         n = int(t.shape[0])
@@ -473,13 +476,14 @@ class GroupHom:
         src, tgt = self.source.table, self.target.table
         cols = np.array((self.source.identity, *self.source.small_generators))
         if not (im[src[:, cols]] == tgt[im[:, None], im[cols]]).all():
-            # the full scan names the first failing pair in row-major order
-            lhs = im[src]
-            rhs = tgt[im[:, None], im[None, :]]
-            bad = np.argwhere(lhs != rhs)[0]
-            raise NotAHomomorphism(
-                f"map is not multiplicative at pair ({int(bad[0])}, {int(bad[1])})"
-            )
+            # a scan in row blocks names the first failing pair in row-major order
+            for rows in _row_blocks(self.source.order):
+                bad = im[src[rows]] != tgt[im[rows, None], im[None, :]]
+                if bad.any():
+                    x, y = divmod(int(bad.argmax()), self.source.order)
+                    raise NotAHomomorphism(
+                        f"map is not multiplicative at pair ({rows.start + x}, {y})"
+                    )
 
     def apply(self, x: int) -> int:
         return self.images[x]

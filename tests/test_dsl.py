@@ -1,18 +1,24 @@
 """Text format: parsing, canonical printing, and resolution."""
 
+import gc
+import re
 import time
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgam.dsl import (
+    MAX_PERM_DEGREE,
     MAX_WORD_SYLLABLES,
     AmalgamDecl,
     EmbedDecl,
     GroupDecl,
     SpecFile,
     WordDecl,
+    _tokenize_line,
     format_specfile,
     parse,
     resolve,
@@ -202,6 +208,158 @@ def test_cap_boundary_still_parses():
     assert len(sf.by_name("w").syllables) == MAX_WORD_SYLLABLES
 
 
+def test_unrecognized_character():
+    with pytest.raises(ParseError) as exc:
+        parse("group C2 = cyclic 2\ngroup A = cyclic 2 @ # @ in a comment is fine\n")
+    assert str(exc.value) == "unrecognized character '@'"
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (2, 20, "token")
+    with pytest.raises(ParseError, match="unrecognized character 'é'") as exc:
+        parse("group é = cyclic 2\n")
+    assert exc.value.col == 7
+
+
+def test_perm_degree_over_the_cap_fails_fast():
+    for degree in (MAX_PERM_DEGREE + 1, 3_000_000, 100_000_000):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse(f"group P = perm {degree} {{ (1 2) }}\n")
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"degree {degree} exceeds the cap {MAX_PERM_DEGREE}"
+        assert (exc.value.line, exc.value.col) == (1, 16)
+        assert exc.value.expected == f"1..{MAX_PERM_DEGREE}"
+
+
+def test_perm_degree_at_the_cap_parses_and_resolves():
+    text = f"group P = perm {MAX_PERM_DEGREE} {{ (1 {MAX_PERM_DEGREE}) }}\n"
+    assert parse(text).declarations[0].degree == MAX_PERM_DEGREE
+    assert resolve(parse(text)).groups["P"].order == 2
+
+
+def test_bad_points_in_cycles_are_reported_at_their_own_columns():
+    line = "group S3 = perm 3 { (1 2)(2\t 07 3); (3 0) }"
+    with pytest.raises(ParseError) as exc:
+        parse(line)
+    assert str(exc.value) == "point 7 outside degree 3"
+    assert (exc.value.col, exc.value.expected) == (line.index("07") + 1, "1..3")
+    with pytest.raises(ParseError) as exc:
+        parse("group C2 = cyclic 2\nembed e : C2 -> C2 { g -> (1 2) }\n")
+    assert str(exc.value) == "cycle notation is only valid in permutation groups"
+    assert exc.value.col == 27
+
+
+# ---------------------------------------------------------------- tokenizer
+
+REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<ws>[ \t]+)"
+    r"|(?P<comment>#.*)"
+    r"|(?P<arrow>->)"
+    r"|(?P<num>-?\d+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z_][A-Za-z0-9_]*)*)"
+    r"|(?P<punct>[={}()\[\],;:*^])"
+)
+
+
+def reference_tokenize_line(text: str, line_no: int) -> list:
+    """The per-match tokenizer that the one-pass scan replaced, as
+    (kind, text, line, col) tuples; a cycle is "(", its points and ")"."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(
+                f"unrecognized character {text[pos]!r}", line_no, pos + 1, expected="token"
+            )
+        kind = m.lastgroup
+        if kind not in ("ws", "comment"):
+            tokens.append((kind, m.group(), line_no, pos + 1))
+        pos = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        tokens = tokenize(text, 7)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col, e.expected)
+    if tokenize is reference_tokenize_line:
+        return tokens
+    # a cycle token stands for "(", the points and ")" that follow it
+    out = []
+    for tok in tokens:
+        if tok.kind != "cycle":
+            out.append(tuple(tok))
+            continue
+        assert tok.text == "("
+        end = text.index(")", tok.col)
+        inner = reference_tokenize_line(text[tok.col - 1 : end + 1], tok.line)
+        assert [k for k, *_ in inner] == ["punct"] + ["num"] * (len(inner) - 2) + ["punct"]
+        assert all(s.isdecimal() for _, s, *_ in inner[1:-1])  # no sign
+        out += [(k, s, ln, tok.col - 1 + c) for k, s, ln, c in inner]
+    return out
+
+
+def assert_same_tokens(text: str):
+    assert _tokens_or_error(_tokenize_line, text) == _tokens_or_error(
+        reference_tokenize_line, text
+    ), text
+
+
+def test_tokens_match_the_reference_on_the_golden_specs():
+    lines = 0
+    for path in sorted((Path(__file__).parent / "golden").glob("*.amg")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            assert_same_tokens(line)
+            lines += 1
+    assert lines > 50
+
+
+Q8_ATOMS = ["(1 3 2 4)(5 7 6 8)", "(1 4 2 3)(5 8 6 7)", "(1 5 2 6)(3 8 4 7)",
+            "(1 6 2 5)(3 7 4 8)", "(1 2)(3 4)(5 6)(7 8)", "e", "g1^-1", "g2^3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from(Q8_ATOMS)), min_size=1, max_size=64),
+    st.sampled_from([" ", "  ", "\t", ""]),
+)
+def test_property_long_words_tokenize_like_the_reference(syllables, gap):
+    body = f"{gap}*{gap}".join(f"{i}:{gap}{a}" for i, a in syllables)
+    assert_same_tokens(f"word w in G = {body}{gap}")
+
+
+FRAGMENTS = ["(", ")", "1", "23", "0", "-5", "-", "->", ">", " ", "  ", "\t", "#", "é", "@",
+             "g", "g2", "e", "^", "*", ":", ";", "{", "}", "[", "]", ",", "=", "perm",
+             "free-abelian", "x-", "_a", "(1 2)", "( 3\t4 )", "()", "(1 -2)"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join))
+def test_property_random_lines_tokenize_like_the_reference(line):
+    assert_same_tokens(line)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-3, 12), max_size=5), min_size=1, max_size=4),
+    st.sampled_from([" ", "\t", " \t "]),
+)
+def test_property_cycle_points_are_checked_at_their_columns(cycles, gap):
+    degree = 9
+    line = "group P = perm 9 { " + "".join(
+        "(" + gap.join(str(p) for p in c) + ")" for c in cycles
+    ) + " }"
+    bad = [tok for tok in reference_tokenize_line(line, 1)[7:]
+           if tok[0] == "num" and not 1 <= int(tok[1]) <= degree]
+    if not bad:
+        assert parse(line).declarations[0].generators == (tuple(tuple(c) for c in cycles),)
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(line)
+    assert str(exc.value) == f"point {int(bad[0][1])} outside degree {degree}"
+    assert (exc.value.col, exc.value.expected) == (bad[0][3], f"1..{degree}")
+
+
 # ------------------------------------------------------------- resolution
 
 
@@ -211,6 +369,32 @@ def test_resolve_builds_the_permutation_group():
     assert isinstance(S3, FiniteGroup)
     assert S3.order == 6
     assert ctx.groups["C3"].order == 3
+
+
+def test_resolve_keeps_nothing_alive_after_it_returns():
+    ctx = resolve(parse(S3_PAIR + "word w in G = 0:(1 2)(1 3) * 1:g2^-1\n"))
+    refs = [weakref.ref(G) for G in ctx.groups.values()]
+    del ctx
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_resolve_evaluates_each_syllable_in_its_own_factor():
+    # one expression text in two groups, and one cycle at several powers
+    ctx = resolve(parse(
+        "group S3 = perm 3 { (1 2); (1 2 3) }\n"
+        "group S4 = perm 4 { (1 2); (1 2 3 4) }\n"
+        "group C2 = cyclic 2\n"
+        "embed a : C2 -> S3 { g -> (1 2) }\n"
+        "embed b : C2 -> S4 { g -> (1 2) }\n"
+        "amalgam G = S3, S4 over C2 via a, b\n"
+        "word w in G = 0:(1 2 3) * 1:(1 2 3) * 0:(1 2 3)^2 * 1:(1 2 3)^-1 * 0:g2 * 1:g2^3\n"
+    ))
+    factors = [ctx.groups["S3"], ctx.groups["S4"]]
+    _, w = ctx.words["w"]
+    assert [factors[i].label(x) for i, x in w] == [
+        "(1 2 3)", "(1 2 3)", "(1 3 2)", "(1 3 2)", "(1 2 3)", "(1 4 3 2)"
+    ]
 
 
 def test_cyclic_group_over_the_order_cap_is_refused():

@@ -277,6 +277,11 @@ def test_non_integer_tables_rejected(table):
         FiniteGroup(table)
 
 
+def test_ragged_table_is_an_invalid_group():
+    with pytest.raises(InvalidGroup, match="rows differ in length"):
+        FiniteGroup([[0, 1], [1]])
+
+
 def test_range_is_checked_before_narrowing():
     # 65,537 would wrap to 1 in int16
     with pytest.raises(InvalidGroup, match="out of range"):
@@ -775,6 +780,39 @@ def test_hom_generator_check_matches_full_check():
                 GroupHom(G, T, tuple(images))
             assert str(exc.value) == expected
     assert min(seen.values()) >= 30, seen
+
+
+@pytest.mark.parametrize("cells", [1, 16])
+def test_hom_failure_scan_in_row_blocks_names_the_same_pair(monkeypatch, cells):
+    monkeypatch.setattr(groups, "_ROW_BLOCK_CELLS", cells)
+    rng = random.Random(22)
+    targets = [cyclic_group(2), cyclic_group(6), symmetric_group(3)]
+    for G in (cyclic_group(6), symmetric_group(3), quaternion_group()):
+        assert len(groups._row_blocks(G.order)) > 1
+        for _ in range(40):
+            T = rng.choice(targets)
+            images = [rng.randrange(T.order) for _ in G.elements()]
+            expected = full_hom_check(G, T, images)
+            if expected is None:
+                continue
+            with pytest.raises(NotAHomomorphism) as exc:
+                GroupHom(G, T, tuple(images))
+            assert str(exc.value) == expected
+
+
+def test_hom_failure_path_peaks_below_three_tables():
+    # rejecting x -> x^2 on C2048 (an 8 MiB table) used to build two
+    # |G| x |G| int64 arrays, 171 MiB, to name the first failing pair
+    G = cyclic_group(2048)
+    squares = tuple(x * x % G.order for x in G.elements())
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAHomomorphism, match=r"at pair \(1, 1\)$"):
+            GroupHom(G, G, squares)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * G.table.nbytes
 
 
 def test_hom_from_generator_images_extends():
