@@ -768,7 +768,7 @@ class _Lookups:
 
 def _finite_generator_elements(decl: GroupDecl, G: FiniteGroup, look: _Lookups) -> list:
     if decl.kind == "cyclic":
-        return [1]
+        return [1 % G.order]  # g; in cyclic 1 it is the identity
     return [look.index(G, look.perm(decl.degree, cycles)) for cycles in decl.generators]
 
 
@@ -779,7 +779,7 @@ def _eval_finite(expr: ElementExpr, decl: GroupDecl, G: FiniteGroup, look: _Look
     for atom in expr.atoms:
         if atom.kind != "gen":
             continue
-        out = G.mul(out, G.power(1, atom.power))
+        out = G.mul(out, G.power(1 % G.order, atom.power))
     return out
 
 
@@ -817,6 +817,13 @@ def _build_embed(decl: EmbedDecl, ctx: ResolvedSpec, look: _Lookups):
         for i, e in exprs.items():
             key = gen_elems[i - 1]
             img = _eval_finite(e, tgt_decl, G, look)
+            if key == C.identity:
+                if img != G.identity:
+                    raise NotAHomomorphism(
+                        f"generator g{i} is the identity but maps to {G.label(img)}"
+                    )
+                if key not in C.generator_indices:  # as in cyclic 1
+                    continue
             if key in mapping and mapping[key] != img:
                 raise NotAHomomorphism(
                     f"generators g{i} and an earlier one are the same element "

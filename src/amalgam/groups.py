@@ -9,14 +9,20 @@ behaves like one.
 Each table is one read-only, C-contiguous array in the narrowest signed
 integer type that holds its indices: int16 up to order 2^15, int32 above.
 The constructors build their tables in that type, and validation reads the
-table in blocks of rows of about 2^20 cells, so no temporary the size of the
-whole table is made beyond the group's own copy.
+table in blocks of rows of about 2^17 cells, small enough to stay in cache, so
+no temporary the size of the whole table is made beyond the group's own copy.
+Light's test permutes the columns of each block with np.take. Single products
+and inverses are read through a memoryview of the table, which yields Python
+ints without a copy. Closures grow one generator at a time: the span already
+reached is multiplied by the new generator, and only new elements by all of
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -33,7 +39,7 @@ from .errors import (
 DEFAULT_MAX_ORDER = 5000
 DEFAULT_LATTICE_CAP = 256
 # table validation reads the rows in blocks of about this many cells
-_ROW_BLOCK_CELLS = 1 << 20
+_ROW_BLOCK_CELLS = 1 << 17
 
 
 def _index_dtype(order: int):
@@ -83,6 +89,8 @@ class FiniteGroup:
         t.setflags(write=False)
         self.order = n
         self.table = t
+        # cells[a, b] is a * b as a Python int, read without a copy
+        self._cells = memoryview(t)
 
         # e * 0 = 0 only for e = the identity of a group, so only the rows
         # with t[e, 0] == 0 can hold the least two-sided identity
@@ -94,8 +102,9 @@ class FiniteGroup:
             raise InvalidGroup("no two-sided identity in table")
         self.identity = ident = e
 
+        blocks = _row_blocks(n)
         inv = np.empty(n, dtype=t.dtype)
-        for rows in _row_blocks(n):
+        for rows in blocks:
             hits = t[rows] == ident
             inv[rows] = hits.argmax(axis=1)
             bad = (hits.sum(axis=1) != 1) | (t[inv[rows], ar[rows]] != ident)
@@ -105,6 +114,7 @@ class FiniteGroup:
                 )
         inv.setflags(write=False)
         self.inverses = inv
+        self._inv_cells = memoryview(inv)
 
         if generator_indices is None:
             generator_indices = tuple(x for x in range(n) if x != ident)
@@ -112,9 +122,10 @@ class FiniteGroup:
         # Associativity is tested on a generating set, so generation comes
         # first; declared generators that fall short are extended for the test
         # and reported after it, keeping the order in which errors are raised.
-        gens, reached = _greedy_generators(
+        gens, span = _greedy_generators(
             self, [g for g in self.generator_indices if 0 <= g < n]
         )
+        reached = len(span)
         if reached < n:
             gens, _ = _greedy_generators(self, gens + list(range(n)))
         # Light's test. Let S be the set of a with (xa)y = x(ay) for all x, y.
@@ -122,13 +133,13 @@ class FiniteGroup:
         # (xa)(by) = x(a(by)) = x((ab)y), so S holds everything gens reach.
         for a in gens:
             if not all(
-                np.array_equal(t[t[rows, a]], t[rows][:, t[a]]) for rows in _row_blocks(n)
+                np.array_equal(t[t[rows, a]], np.take(t[rows], t[a], axis=1)) for rows in blocks
             ):
                 first = next(
                     x
                     for x in range(n)
                     if not all(
-                        np.array_equal(t[t[x, rows]], t[x][t[rows]]) for rows in _row_blocks(n)
+                        np.array_equal(t[t[x, rows]], t[x][t[rows]]) for rows in blocks
                     )
                 )
                 raise InvalidGroup(f"associativity fails at element {first}")
@@ -155,10 +166,10 @@ class FiniteGroup:
         return x
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self._cells[a, b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self._inv_cells[a]
 
     def conjugate(self, x: int, by: int) -> int:
         return self.mul(self.mul(by, x), self.inv(by))
@@ -177,9 +188,9 @@ class FiniteGroup:
         return out
 
     def element_order(self, a: int) -> int:
-        x, k = a, 1
+        cells, x, k = self._cells, a, 1
         while x != self.identity:
-            x = self.mul(x, a)
+            x = cells[x, a]
             k += 1
         return k
 
@@ -202,35 +213,47 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.order}{tag})"
 
 
-def _closure_from(G: FiniteGroup, seeds) -> set[int]:
-    """All products of the seed elements (and the identity)."""
-    seen = {G.identity}
-    frontier = [G.identity]
-    seeds = tuple(seeds)
+def _extend_span(G: FiniteGroup, span: set[int], gens: list[int], new: int) -> None:
+    """Add new to gens and grow span to what gens now reach.
+
+    span must hold exactly what gens reach from the identity by right
+    products. Each element of span is multiplied by new, and each element
+    this adds by every generator, so span ends up holding what gens + [new]
+    reach, the same set a search from the identity finds. No associativity
+    is assumed.
+    """
+    cells = G._cells
+    gens.append(new)
+    frontier = []
+    for x in list(span):
+        y = cells[x, new]
+        if y not in span:
+            span.add(y)
+            frontier.append(y)
     while frontier:
         x = frontier.pop()
-        for g in seeds:
-            y = G.mul(x, g)
-            if y not in seen:
-                seen.add(y)
+        for g in gens:
+            y = cells[x, g]
+            if y not in span:
+                span.add(y)
                 frontier.append(y)
-    return seen
 
 
-def _greedy_generators(G: FiniteGroup, candidates) -> tuple[list[int], int]:
+def _greedy_generators(G: FiniteGroup, candidates) -> tuple[list[int], set[int]]:
     """The candidates, in order, that lie outside the span of those kept before.
 
-    Returns the kept elements and the size of the span of all candidates. In a
-    group each kept element at least doubles the span, so at most log2(order)
-    are kept.
+    Returns the kept elements and their span, everything reached from the
+    identity by right products with them. No associativity is assumed, so
+    this runs inside FiniteGroup before Light's test; in a group the span is
+    the subgroup the candidates generate, and each kept element at least
+    doubles it, so at most log2(order) are kept.
     """
     gens: list[int] = []
     span = {G.identity}
     for c in candidates:
         if c not in span:
-            gens.append(c)
-            span = _closure_from(G, gens)
-    return gens, len(span)
+            _extend_span(G, span, gens, c)
+    return gens, span
 
 
 def _normal_closure_from(G: FiniteGroup, seeds, conjugators) -> set[int]:
@@ -246,8 +269,7 @@ def _normal_closure_from(G: FiniteGroup, seeds, conjugators) -> set[int]:
         x = queue.pop()
         if x in span:
             continue
-        gens.append(x)
-        span = _closure_from(G, gens)
+        _extend_span(G, span, gens, x)
         queue.extend(G.conjugate(x, c) for c in conjugators)
     return span
 
@@ -264,9 +286,11 @@ class Subgroup:
         return len(self.elements)
 
     def contains(self, x: int) -> bool:
-        return x in self._as_set()
+        return x in self._members
 
-    def _as_set(self) -> frozenset:
+    @cached_property
+    def _members(self) -> frozenset:
+        """The elements as a set, built on first use (not a dataclass field)."""
         return frozenset(self.elements)
 
     def is_whole(self) -> bool:
@@ -277,7 +301,7 @@ class Subgroup:
 
     def is_normal(self) -> bool:
         G = self.parent
-        members = self._as_set()
+        members = self._members
         return all(
             G.conjugate(h, g) in members for h in self.elements for g in G.elements()
         )
@@ -307,7 +331,7 @@ def whole_group(G: FiniteGroup) -> Subgroup:
 
 def subgroup_closure(G: FiniteGroup, seeds) -> Subgroup:
     seeds = [G.check(int(x)) for x in seeds]
-    return Subgroup(G, tuple(sorted(_closure_from(G, seeds))))
+    return Subgroup(G, tuple(sorted(_greedy_generators(G, seeds)[1])))
 
 
 def normal_closure(G: FiniteGroup, seeds) -> Subgroup:
@@ -410,32 +434,31 @@ def all_subgroups(G: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgro
             cap=cap,
             order=G.order,
         )
-    seen: dict[frozenset, tuple[int, ...]] = {}
+    # each subgroup found is kept with the generators that built it, so that
+    # <base, g> grows from base by one _extend_span
     trivial = (G.identity,)
-    seen[frozenset(trivial)] = trivial
-    frontier = [trivial]
+    seen = {trivial}
+    frontier = [(trivial, [])]
     while frontier:
-        base = frontier.pop()
+        base, base_gens = frontier.pop()
         base_set = set(base)
         for g in G.elements():
             if g in base_set:
                 continue
-            closed = tuple(sorted(_closure_from(G, base_set | {g})))
-            key = frozenset(closed)
-            if key not in seen:
-                seen[key] = closed
-                frontier.append(closed)
-    return [Subgroup(G, elems) for elems in sorted(seen.values(), key=lambda e: (len(e), e))]
+            span, gens = set(base_set), list(base_gens)
+            _extend_span(G, span, gens, g)
+            closed = tuple(sorted(span))
+            if closed not in seen:
+                seen.add(closed)
+                frontier.append((closed, gens))
+    return [Subgroup(G, elems) for elems in sorted(seen, key=lambda e: (len(e), e))]
 
 
 def maximal_subgroups(G: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> list[Subgroup]:
     subs = [s for s in all_subgroups(G, cap) if not s.is_whole()]
     out = []
     for s in subs:
-        s_set = s._as_set()
-        if not any(
-            s is not t and s_set < t._as_set() for t in subs
-        ):
+        if not any(s is not t and s._members < t._members for t in subs):
             out.append(s)
     return out
 
@@ -447,7 +470,7 @@ def frattini(G: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> Subgroup:
         return whole_group(G)
     common = set(maxes[0].elements)
     for m in maxes[1:]:
-        common &= m._as_set()
+        common &= m._members
     return Subgroup(G, tuple(sorted(common)))
 
 

@@ -376,6 +376,25 @@ def test_noninjective_amalgam_fails_a_command_that_never_reads_it(tmp_path):
     assert (error["code"], error["message"]) == NOT_INJECTIVE_0
 
 
+def test_normal_form_over_the_trivial_group(tmp_path):
+    path = tmp_path / "s3_over_c1.amg"
+    path.write_text(
+        "group C1 = cyclic 1\n"
+        "group S3 = perm 3 { (1 2); (1 2 3) }\n"
+        "embed a : C1 -> S3 { g -> e }\n"
+        "amalgam G = S3, S3 over C1 via a, a\n"
+        "word w in G = 0:(1 2) * 1:(1 2)\n"
+        "word v in G = 0:(1 2) * 0:(1 2)\n"
+    )
+    lengths = {}
+    for word in ("w", "v"):
+        code, out, err = _run(["normal-form", "--spec", str(path), "--word", word])
+        assert (code, err) == (0, "")
+        form = json.loads(out)["normal_form"]
+        lengths[word] = (form["length"], form["is_identity"])
+    assert lengths == {"w": (2, False), "v": (0, True)}
+
+
 # ------------------------------------------------------ witness engine limits
 
 

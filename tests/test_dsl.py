@@ -468,6 +468,31 @@ def test_resolve_rejects_non_hom_images():
         resolve(sf)
 
 
+C1_INTO_S3 = """\
+group C1 = cyclic 1
+group S3 = perm 3 { (1 2); (1 2 3) }
+embed a : C1 -> S3 { g -> e }
+"""
+
+
+def test_cyclic_1_embeds_with_its_generator_at_the_identity():
+    ctx = resolve(parse(C1_INTO_S3))
+    assert ctx.embeds["a"].images == (ctx.groups["S3"].identity,)
+
+
+def test_cyclic_1_generator_must_map_to_the_identity():
+    sf = parse(C1_INTO_S3.replace("g -> e", "g -> (1 2)"))
+    with pytest.raises(NotAHomomorphism) as exc:
+        resolve(sf)
+    assert str(exc.value) == "generator g1 is the identity but maps to (1 2)"
+
+
+def test_cyclic_1_is_a_target():
+    ctx = resolve(parse("group C1 = cyclic 1\ngroup C2 = cyclic 2\n"
+                        "embed b : C2 -> C1 { g -> g }\n"))
+    assert ctx.embeds["b"].images == (0, 0)
+
+
 def test_resolve_word_element_not_in_group():
     sf = parse("group V = perm 4 { (1 2)(3 4); (1 3)(2 4) }\n"
                "group C2 = cyclic 2\n"

@@ -335,9 +335,9 @@ def test_table_builds_peak_below_three_tables():
     assert _traced_peak_over_table(lambda: direct_product([C32, C64])[0]) < 3
 
 
-def _validation_outcome(table):
+def _validation_outcome(table, generator_indices=None):
     try:
-        G = FiniteGroup(table)
+        G = FiniteGroup(table, generator_indices=generator_indices)
     except InvalidGroup as e:
         return str(e)
     return G.identity, G.inverses.tolist(), G.small_generators
@@ -367,6 +367,215 @@ def test_row_blocks_do_not_change_outcomes(monkeypatch, cells):
     monkeypatch.setattr(groups, "_ROW_BLOCK_CELLS", cells)
     assert len(groups._row_blocks(5)) > 1
     assert [_validation_outcome(t) for t in tables] == whole
+
+
+# -- the kernel against from-scratch references ---------------------------
+#
+# The references read the table as nested lists and follow the definitions:
+# associativity by the O(n^3) scan, closures by a breadth-first search from
+# the identity redone after every generator kept.
+
+def ref_bfs_closure(T, e, seeds):
+    """Everything reached from e by right products with the seeds."""
+    seen, frontier, seeds = {e}, [e], tuple(seeds)
+    while frontier:
+        x = frontier.pop()
+        for g in seeds:
+            y = T[x][g]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def ref_greedy(T, e, candidates):
+    gens, span = [], {e}
+    for c in candidates:
+        if c not in span:
+            gens.append(c)
+            span = ref_bfs_closure(T, e, gens)
+    return gens, span
+
+
+def ref_validate(T, generator_indices=None):
+    """FiniteGroup's verdict on an in-range square table, from the definitions:
+    the InvalidGroup message, or (identity, inverses, small_generators)."""
+    n = len(T)
+    ids = [e for e in range(n) if all(T[e][x] == x == T[x][e] for x in range(n))]
+    if not ids:
+        return "no two-sided identity in table"
+    e = ids[0]
+    inverses = []
+    for x in range(n):
+        right = [y for y in range(n) if T[x][y] == e]
+        if len(right) != 1 or T[right[0]][x] != e:
+            return f"element {x} lacks a unique two-sided inverse"
+        inverses.append(right[0])
+    if generator_indices is None:
+        generator_indices = [x for x in range(n) if x != e]
+    gens, span = ref_greedy(T, e, generator_indices)
+    if len(span) < n:
+        gens, _ = ref_greedy(T, e, gens + list(range(n)))
+    first = brute_first_nonassociative(T)
+    if first is not None:
+        return f"associativity fails at element {first}"
+    if len(span) < n:
+        return "generator_indices do not generate the group"
+    return e, inverses, tuple(gens)
+
+
+def ref_normal_closure(T, e, inv, seeds, conjugators):
+    gens, span, queue = [], {e}, list(seeds)
+    while queue:
+        x = queue.pop()
+        if x in span:
+            continue
+        gens.append(x)
+        span = ref_bfs_closure(T, e, gens)
+        queue.extend(T[T[c][x]][inv[c]] for c in conjugators)
+    return span
+
+
+def ref_commutator(T, e, inv, H, K):
+    X, _ = ref_greedy(T, e, H)
+    Y, _ = ref_greedy(T, e, K)
+    coms = [T[T[h][k]][T[inv[h]][inv[k]]] for h in X for k in Y]
+    return tuple(sorted(ref_normal_closure(T, e, inv, coms, X + Y)))
+
+
+def ref_series(T, e, inv, kind):
+    top = tuple(range(len(T)))
+    terms = [top]
+    while True:
+        cur = terms[-1]
+        nxt = ref_commutator(T, e, inv, cur if kind == "derived" else top, cur)
+        if nxt == cur:
+            if len(cur) > 1:
+                terms.append(nxt)
+            return terms
+        terms.append(nxt)
+        if len(nxt) == 1:
+            return terms
+
+
+def ref_all_subgroups(T, e):
+    """The lattice search with every <H, g> closed from scratch."""
+    seen, frontier = {(e,)}, [(e,)]
+    while frontier:
+        base = frontier.pop()
+        for g in range(len(T)):
+            if g not in base:
+                closed = tuple(sorted(ref_bfs_closure(T, e, base + (g,))))
+                if closed not in seen:
+                    seen.add(closed)
+                    frontier.append(closed)
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+def _seeded_group(rng):
+    """A small constructor group, its elements renamed at random."""
+    small = [
+        lambda: cyclic_group(rng.randint(1, 24)),
+        lambda: dihedral_group(rng.randint(1, 8)),
+        quaternion_group,
+        lambda: symmetric_group(rng.randint(1, 4)),
+        lambda: alternating_group(4),
+    ]
+    G = rng.choice(small)()
+    if G.order <= 8 and rng.random() < 0.5:
+        G = direct_product([G, rng.choice(small[1:3])()])[0]
+    perm = rng.sample(range(G.order), G.order)
+    return FiniteGroup(_relabelled(G, perm))
+
+
+def _kernel_cases(seed):
+    """(table, generator_indices) pairs: seeded groups, the same tables broken
+    in seeded ways, and fixed non-groups."""
+    rng = random.Random(seed)
+    cases = [(LOOP5, None), (LOOP5, (2,)), (LOOP5_C2, None)]
+    cases += [(t, None) for t in _block_test_tables()[2:]]
+    for _ in range(40):
+        G = _seeded_group(rng)
+        T, n = G.table.tolist(), G.order
+        gens = rng.choice([None, rng.sample(range(n), min(n, rng.randint(1, 3)))])
+        cases.append((T, gens))
+        if n < 3:
+            continue
+        broken = [row[:] for row in T]
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        how = rng.randrange(3)
+        if how == 0:  # one cell changed
+            broken[a][b] = (broken[a][b] + 1 + c % (n - 1)) % n
+        elif how == 1:  # two cells of one row swapped: rows stay Latin
+            broken[a][b], broken[a][c] = broken[a][c], broken[a][b]
+        else:  # two rows swapped
+            broken[a], broken[b] = broken[b], broken[a]
+        cases.append((broken, gens))
+    return cases
+
+
+class _Magma:
+    """A table with an identity at 0, not known to be associative."""
+
+    identity = 0
+
+    def __init__(self, table):
+        self._cells = memoryview(np.array(table, dtype=np.int16))
+
+
+def _random_magma(n, rng):
+    """Identity at 0, every other product random."""
+    return [[a if b == 0 else b if a == 0 else rng.randrange(n) for b in range(n)]
+            for a in range(n)]
+
+
+def test_greedy_spans_are_what_right_products_reach_without_associativity():
+    # FiniteGroup keeps its generators before Light's test has run
+    rng = random.Random(3)
+    latin = [_random_latin_square(n, rng) for n in (5, 6, 7) for _ in range(10)]
+    magmas = [_random_magma(n, rng) for n in (5, 8, 12) for _ in range(20)]
+    for table in [LOOP5, LOOP5_C2, *latin, *magmas]:
+        candidates = rng.sample(range(len(table)), len(table))
+        gens, span = groups._greedy_generators(_Magma(table), candidates)
+        assert (gens, span) == ref_greedy(table, 0, candidates)
+
+
+@pytest.mark.parametrize("cells", [None, 1, 16])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_validation_matches_the_references(monkeypatch, cells, seed):
+    if cells is not None:
+        monkeypatch.setattr(groups, "_ROW_BLOCK_CELLS", cells)
+    seen = set()
+    for table, gens in _kernel_cases(seed):
+        expected = ref_validate(table, gens)
+        assert _validation_outcome(table, gens) == expected
+        seen.add(expected.split(" ")[0] if isinstance(expected, str) else "group")
+    assert seen == {"group", "element", "associativity", "generator_indices", "no"}, seen
+
+
+@pytest.mark.parametrize("cells", [None, 1, 16])
+def test_closures_and_series_match_the_references(monkeypatch, cells):
+    if cells is not None:
+        monkeypatch.setattr(groups, "_ROW_BLOCK_CELLS", cells)
+    rng = random.Random(7)
+    for _ in range(25):
+        G = _seeded_group(rng)
+        T, e, inv, n = G.table.tolist(), G.identity, G.inverses.tolist(), G.order
+        for _ in range(4):
+            seeds = rng.sample(range(n), min(n, rng.randint(1, 3)))
+            more = rng.sample(range(n), min(n, rng.randint(1, 3)))
+            H, K = subgroup_closure(G, seeds), subgroup_closure(G, more)
+            assert H.elements == tuple(sorted(ref_bfs_closure(T, e, seeds)))
+            assert normal_closure(G, seeds).elements == tuple(
+                sorted(ref_normal_closure(T, e, inv, seeds, G.small_generators))
+            )
+            assert commutator_subgroup(G, H, K).elements == ref_commutator(
+                T, e, inv, H.elements, K.elements
+            )
+        for kind in ("derived", "lower-central"):
+            assert [s.elements for s in series(G, kind).terms] == ref_series(T, e, inv, kind)
+        if n <= 24:
+            assert [s.elements for s in all_subgroups(G)] == ref_all_subgroups(T, e)
 
 
 def test_cycle_label_roundtrip():
