@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -129,6 +130,13 @@ def _pick_group(ctx: dsl.ResolvedSpec, name):
     return ctx.groups[name]
 
 
+def _pick_finite_group(ctx: dsl.ResolvedSpec, name, command: str) -> FiniteGroup:
+    G = _pick_group(ctx, name)
+    if not isinstance(G, FiniteGroup):
+        raise InvalidGroup(f"{command} works on finite groups only")
+    return G
+
+
 def _element_json(x):
     return list(x) if isinstance(x, (tuple, list)) else x
 
@@ -176,24 +184,16 @@ def _cmd_equal(ctx, args):
     return _result("equal", body), 0
 
 
-def _series_orders(G: FiniteGroup):
-    chain = series(G, "derived")
-    orders = list(chain.orders)
-    solvable = chain.stabilizes_trivial()
-    return orders, solvable, (len(chain.terms) - 1 if solvable else None)
-
-
 def _cmd_derived_series(ctx, args):
-    G = _pick_group(ctx, args.group)
-    if not isinstance(G, FiniteGroup):
-        raise InvalidGroup("derived-series works on finite groups only")
-    orders, solvable, dl = _series_orders(G)
+    G = _pick_finite_group(ctx, args.group, "derived-series")
+    chain = series(G, "derived")
+    solvable = chain.stabilizes_trivial()
     body = {
         "group": args.group,
         "order": G.order,
-        "term_orders": orders,
+        "term_orders": list(chain.orders),
         "solvable": solvable,
-        "derived_length": dl,
+        "derived_length": len(chain.terms) - 1 if solvable else None,
     }
     return _result("derived-series", body), 0
 
@@ -206,14 +206,11 @@ def _cmd_abelianize(ctx, args):
     else:
         factors = list(abelian_invariants(G))
         free_rank = 0
-    order = 1
-    for d in factors:
-        order *= d
     body = {
         "group": args.group,
         "invariant_factors": factors,
         "free_rank": free_rank,
-        "torsion_order": order,
+        "torsion_order": math.prod(factors),
     }
     return _result("abelianize", body), 0
 
@@ -257,9 +254,7 @@ def _cmd_snf(ctx, args):
 
 
 def _cmd_frattini(ctx, args):
-    G = _pick_group(ctx, args.group)
-    if not isinstance(G, FiniteGroup):
-        raise InvalidGroup("frattini works on finite groups only")
+    G = _pick_finite_group(ctx, args.group, "frattini")
     phi = frattini(G, cap=args.frattini_cap)
     chain = series(G, "derived")
     delta2 = chain.terms[1] if len(chain.terms) > 1 else chain.terms[0]

@@ -139,12 +139,6 @@ class WordDecl:
 class SpecFile:
     declarations: tuple = ()
 
-    def by_name(self, name: str):
-        for d in self.declarations:
-            if d.name == name:
-                return d
-        return None
-
 
 class _Cursor:
     """Token stream over one statement line; a None sentinel marks its end."""
@@ -204,6 +198,29 @@ class _Cursor:
                 f"expected {what}, found {tok.text!r}", tok.line, tok.col, expected=what
             )
         return int(tok.text)
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if its text is ``text``; say whether it did."""
+        tok = self.tokens[self.pos]
+        if tok is not None and tok.text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def keyword(self, word: str):
+        """The next token must be the identifier ``word``."""
+        tok = self.expect_ident(repr(word))
+        if tok.text != word:
+            raise ParseError(
+                f"expected {word!r}, found {tok.text!r}", tok.line, tok.col, expected=word
+            )
+
+    def names(self, what: str) -> list:
+        """A comma-separated list of identifiers."""
+        out = [self.expect_ident(what).text]
+        while self.accept(","):
+            out.append(self.expect_ident(what).text)
+        return out
 
     def require_end(self):
         tok = self.peek()
@@ -290,11 +307,7 @@ def _parse_cycle(cur: _Cursor, decl: GroupDecl) -> tuple:
 
 
 def _parse_power(cur: _Cursor) -> int:
-    tok = cur.peek()
-    if tok is None or tok.text != "^":
-        return 1
-    cur.next("'^'")
-    return cur.expect_number("an exponent")
+    return cur.expect_number("an exponent") if cur.accept("^") else 1
 
 
 _EXPR_STOP = {";", "}", "*"}
@@ -352,11 +365,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
         cur.expect("{")
         shell = GroupDecl(name, "perm", degree=degree)
         generators = []
-        while True:
-            tok = cur.peek()
-            if tok is not None and tok.text == "}":
-                cur.next("'}'")
-                break
+        while not cur.accept("}"):
             cycles = []
             while (tok := cur.peek()) is not None and tok.text == "(":
                 cycles.append(_parse_cycle(cur, shell))
@@ -369,9 +378,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
                     expected="(p1 p2 ...)",
                 )
             generators.append(tuple(cycles))
-            tok = cur.peek()
-            if tok is not None and tok.text == ";":
-                cur.next("';'")
+            cur.accept(";")
         cur.require_end()
         return GroupDecl(name, "perm", degree=degree, generators=tuple(generators))
     if kind == "cyclic":
@@ -408,9 +415,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
                     tok.col,
                 )
             divisors.append(d)
-            tok = cur.peek()
-            if tok is not None and tok.text == ",":
-                cur.next("','")
+            cur.accept(",")
         for i in range(1, len(divisors)):
             if divisors[i] != 0 and divisors[i - 1] == 0:
                 raise ParseError(
@@ -434,11 +439,7 @@ def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
     source = cur.expect_ident("the amalgam group name").text
     if source not in groups:
         raise ResolutionError(f"unknown group {source!r}", name=source)
-    arrow = cur.next("'->'")
-    if arrow.kind != "arrow":
-        raise ParseError(
-            f"expected '->', found {arrow.text!r}", arrow.line, arrow.col, expected="->"
-        )
+    cur.expect("->")
     target = cur.expect_ident("the factor group name").text
     if target not in groups:
         raise ResolutionError(f"unknown group {target!r}", name=target)
@@ -447,11 +448,7 @@ def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
     cur.expect("{")
     images = []
     seen = set()
-    while True:
-        tok = cur.peek()
-        if tok is not None and tok.text == "}":
-            cur.next("'}'")
-            break
+    while not cur.accept("}"):
         gen_tok = cur.expect_ident("a source generator")
         idx = _parse_gen_symbol(gen_tok, src_decl.generator_count())
         if idx in seen:
@@ -459,18 +456,9 @@ def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
                 f"generator g{idx} mapped twice", gen_tok.line, gen_tok.col
             )
         seen.add(idx)
-        arrow = cur.next("'->'")
-        if arrow.kind != "arrow":
-            raise ParseError(
-                f"expected '->', found {arrow.text!r}",
-                arrow.line,
-                arrow.col,
-                expected="->",
-            )
+        cur.expect("->")
         images.append((idx, _parse_element_expr(cur, tgt_decl)))
-        tok = cur.peek()
-        if tok is not None and tok.text == ";":
-            cur.next("';'")
+        cur.accept(";")
     cur.require_end()
     missing = sorted(set(range(1, src_decl.generator_count() + 1)) - seen)
     if missing:
@@ -485,25 +473,11 @@ def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
 def _parse_amalgam(cur: _Cursor, groups: dict, embeds: set) -> AmalgamDecl:
     name = cur.expect_ident("an amalgam name").text
     cur.expect("=")
-    factors = [cur.expect_ident("a factor group name").text]
-    while cur.peek() is not None and cur.peek().text == ",":
-        cur.next("','")
-        factors.append(cur.expect_ident("a factor group name").text)
-    over = cur.expect_ident("'over'")
-    if over.text != "over":
-        raise ParseError(
-            f"expected 'over', found {over.text!r}", over.line, over.col, expected="over"
-        )
+    factors = cur.names("a factor group name")
+    cur.keyword("over")
     amalgam = cur.expect_ident("the amalgam group name").text
-    via = cur.expect_ident("'via'")
-    if via.text != "via":
-        raise ParseError(
-            f"expected 'via', found {via.text!r}", via.line, via.col, expected="via"
-        )
-    embed_names = [cur.expect_ident("an embedding name").text]
-    while cur.peek() is not None and cur.peek().text == ",":
-        cur.next("','")
-        embed_names.append(cur.expect_ident("an embedding name").text)
+    cur.keyword("via")
+    embed_names = cur.names("an embedding name")
     cur.require_end()
     for g in factors + [amalgam]:
         if g not in groups:
@@ -516,9 +490,7 @@ def _parse_amalgam(cur: _Cursor, groups: dict, embeds: set) -> AmalgamDecl:
 
 def _parse_word(cur: _Cursor, groups: dict, amalgams: dict) -> WordDecl:
     name = cur.expect_ident("a word name").text
-    kw = cur.expect_ident("'in'")
-    if kw.text != "in":
-        raise ParseError(f"expected 'in', found {kw.text!r}", kw.line, kw.col, expected="in")
+    cur.keyword("in")
     amalgam = cur.expect_ident("an amalgam name").text
     if amalgam not in amalgams:
         raise ResolutionError(f"unknown amalgam {amalgam!r}", name=amalgam)
@@ -686,7 +658,6 @@ class ResolvedSpec:
     embeds: dict = field(default_factory=dict)
     amalgams: dict = field(default_factory=dict)
     words: dict = field(default_factory=dict)  # name -> (amalgam name, word)
-    source: SpecFile | None = None
 
 
 def _invert(p):
@@ -822,8 +793,7 @@ def _build_embed(decl: EmbedDecl, ctx: ResolvedSpec, look: _Lookups):
                     raise NotAHomomorphism(
                         f"generator g{i} is the identity but maps to {G.label(img)}"
                     )
-                if key not in C.generator_indices:  # as in cyclic 1
-                    continue
+                continue
             if key in mapping and mapping[key] != img:
                 raise NotAHomomorphism(
                     f"generators g{i} and an earlier one are the same element "
@@ -853,7 +823,7 @@ def resolve(sf: SpecFile) -> ResolvedSpec:
     Every declaration is built and checked, whether or not a later command
     reads it.
     """
-    ctx = ResolvedSpec(source=sf)
+    ctx = ResolvedSpec()
     look = _Lookups(sf)
     for decl in sf.declarations:
         if isinstance(decl, GroupDecl):

@@ -774,7 +774,7 @@ def group_from_permutations(
     for y in range(1, n):
         cols[y] = right[via[y]][cols[parent[y]]]
     labels = tuple(cycle_label(p) for p in elems)
-    gen_idx = tuple(dict.fromkeys(index[g] for g in gens))
+    gen_idx = tuple(dict.fromkeys(index[g] for g in gens if g != ident))
     return FiniteGroup(cols.T, generator_indices=gen_idx or None, labels=labels, name=name)
 
 

@@ -143,6 +143,19 @@ def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     return U
 
 
+def _col_swap(rows, j0, j1):
+    if j0 != j1:
+        for x in rows:
+            x[j0], x[j1] = x[j1], x[j0]
+
+
+def _col_addmul(rows, dst, src, q):
+    """Column dst += q * column src, in every row of ``rows``."""
+    if q:
+        for x in rows:
+            x[dst] += q * x[src]
+
+
 def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column-style Hermite normal form.
 
@@ -155,31 +168,8 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     r, n = M.rows, M.cols
     h = M.to_rows()
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    hu = h + u  # column operations act on H and U alike
 
-    def swap(j0, j1):
-        if j0 == j1:
-            return
-        for i in range(r):
-            h[i][j0], h[i][j1] = h[i][j1], h[i][j0]
-        for i in range(n):
-            u[i][j0], u[i][j1] = u[i][j1], u[i][j0]
-
-    def addmul(dst, src, q):
-        # column_dst += q * column_src
-        if q == 0:
-            return
-        for i in range(r):
-            h[i][dst] += q * h[i][src]
-        for i in range(n):
-            u[i][dst] += q * u[i][src]
-
-    def negate(j):
-        for i in range(r):
-            h[i][j] = -h[i][j]
-        for i in range(n):
-            u[i][j] = -u[i][j]
-
-    pivots: list[tuple[int, int]] = []
     col = 0
     for row in range(r):
         if col >= n:
@@ -191,19 +181,19 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                     best = j
             if best == -1:
                 break
-            swap(col, best)
+            _col_swap(hu, col, best)
             others = [j for j in range(col + 1, n) if h[row][j] != 0]
             if not others:
                 break
             for j in others:
-                addmul(j, col, -(h[row][j] // h[row][col]))
+                _col_addmul(hu, j, col, -(h[row][j] // h[row][col]))
         if h[row][col] == 0:
             continue
         if h[row][col] < 0:
-            negate(col)
+            for x in hu:
+                x[col] = -x[col]
         for j in range(col):
-            addmul(j, col, -(h[row][j] // h[row][col]))
-        pivots.append((row, col))
+            _col_addmul(hu, j, col, -(h[row][j] // h[row][col]))
         col += 1
     return IntMatrix.from_rows(h) if r else IntMatrix.zeros(0, n), IntMatrix.from_rows(u)
 
@@ -247,19 +237,14 @@ def snf(M: IntMatrix) -> SNFDecomposition:
     a = M.to_rows()
     u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # Column operations act on D and V alike. Row operations only swap or
+    # change rows in place, so av keeps holding every row of a and v.
+    av = a + v
 
     def row_swap(i0, i1):
         if i0 != i1:
             a[i0], a[i1] = a[i1], a[i0]
             u[i0], u[i1] = u[i1], u[i0]
-
-    def col_swap(j0, j1):
-        if j0 == j1:
-            return
-        for i in range(r):
-            a[i][j0], a[i][j1] = a[i][j1], a[i][j0]
-        for i in range(n):
-            v[i][j0], v[i][j1] = v[i][j1], v[i][j0]
 
     def row_addmul(dst, src, q):
         if q == 0:
@@ -268,14 +253,6 @@ def snf(M: IntMatrix) -> SNFDecomposition:
             a[dst][j] += q * a[src][j]
         for j in range(r):
             u[dst][j] += q * u[src][j]
-
-    def col_addmul(dst, src, q):
-        if q == 0:
-            return
-        for i in range(r):
-            a[i][dst] += q * a[i][src]
-        for i in range(n):
-            v[i][dst] += q * v[i][src]
 
     def row_negate(i):
         for j in range(n):
@@ -296,7 +273,7 @@ def snf(M: IntMatrix) -> SNFDecomposition:
         if pi == -1:
             break
         row_swap(t, pi)
-        col_swap(t, pj)
+        _col_swap(av, t, pj)
         while True:
             # clear column t below the pivot
             moved = False
@@ -312,9 +289,9 @@ def snf(M: IntMatrix) -> SNFDecomposition:
             for j in range(t + 1, n):
                 if a[t][j] != 0:
                     q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
+                    _col_addmul(av, j, t, -q)
                     if a[t][j] != 0:
-                        col_swap(t, j)
+                        _col_swap(av, t, j)
                         moved = True
             if moved:
                 continue

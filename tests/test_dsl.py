@@ -33,6 +33,7 @@ from amalgam.errors import (
 )
 from amalgam.groups import FiniteGroup
 from amalgam.lattice import FGAbelian, IntMatrix
+from amalgam.witness import double_retraction
 from amalgam.words import reduce, word_label
 
 S3_PAIR = """\
@@ -56,12 +57,16 @@ word wb in M = B:g1
 """
 
 
+def _decl(sf, name):
+    return next((d for d in sf.declarations if d.name == name), None)
+
+
 def test_parse_declaration_kinds():
     sf = parse(S3_PAIR)
     kinds = [type(d) for d in sf.declarations]
     assert kinds == [GroupDecl, GroupDecl, EmbedDecl, EmbedDecl, AmalgamDecl, WordDecl]
-    assert sf.by_name("G").factors == ("S3", "S3")
-    assert sf.by_name("missing") is None
+    assert _decl(sf, "G").factors == ("S3", "S3")
+    assert _decl(sf, "missing") is None
 
 
 def test_empty_input_parses_to_empty_file():
@@ -79,13 +84,13 @@ def test_comments_and_blank_lines_are_skipped():
 def test_bare_g_is_generator_one():
     sf = parse("group C4 = cyclic 4\ngroup C2 = cyclic 2\n"
                "embed e : C2 -> C4 { g -> g^2 }\n")
-    decl = sf.by_name("e")
+    decl = _decl(sf, "e")
     assert decl.images[0][0] == 1
 
 
 def test_word_syllables_and_inverse_power():
     sf = parse(S3_PAIR + "word w in G = 0:(1 2) * 1:(1 2 3)^-1\n")
-    w = sf.by_name("w")
+    w = _decl(sf, "w")
     assert len(w.syllables) == 2
     assert w.syllables[1][1].atoms[0].power == -1
 
@@ -205,7 +210,7 @@ def test_word_cap_enforced():
 def test_cap_boundary_still_parses():
     body = " * ".join(f"{i % 2}:(1 2)" for i in range(MAX_WORD_SYLLABLES))
     sf = parse(S3_PAIR + f"word w in G = {body}\n")
-    assert len(sf.by_name("w").syllables) == MAX_WORD_SYLLABLES
+    assert len(_decl(sf, "w").syllables) == MAX_WORD_SYLLABLES
 
 
 def test_unrecognized_character():
@@ -245,6 +250,60 @@ def test_bad_points_in_cycles_are_reported_at_their_own_columns():
         parse("group C2 = cyclic 2\nembed e : C2 -> C2 { g -> (1 2) }\n")
     assert str(exc.value) == "cycle notation is only valid in permutation groups"
     assert exc.value.col == 27
+
+
+# Each bad line follows the first `kept` lines of S3_PAIR, so it is line kept + 1.
+# The rows pin the message, column and expected text of every error raised
+# where the parser reads an arrow, a keyword, a list separator or a closing
+# brace, at the end of the line, on punctuation and on a wrong identifier.
+GRAMMAR_ERRORS = [
+    (2, "embed ea : C3", "unexpected end of line, expected '->'", 14, "'->'"),
+    (2, "embed ea : C3 = S3 { g -> (1 2 3) }", "expected '->', found '='", 15, "->"),
+    (2, "embed ea : C3 -> S3 { g", "unexpected end of line, expected '->'", 24, "'->'"),
+    (2, "embed ea : C3 -> S3 { g (1 2 3) }", "expected '->', found '('", 25, "->"),
+    (4, "amalgam G = S3, S3 under C3 via ea, eb", "expected 'over', found 'under'", 20, "over"),
+    (4, "amalgam G = S3, S3 : C3 via ea, eb", "expected 'over', found ':'", 20, "'over'"),
+    (4, "amalgam G = S3, S3", "unexpected end of line, expected 'over'", 19, "'over'"),
+    (4, "amalgam G = S3, S3 over C3 with ea, eb", "expected 'via', found 'with'", 28, "via"),
+    (4, "amalgam G = S3, S3 over C3 ; ea, eb", "expected 'via', found ';'", 28, "'via'"),
+    (4, "amalgam G = S3, S3 over C3", "unexpected end of line, expected 'via'", 27, "'via'"),
+    (6, "word w on G = 0:(1 2)", "expected 'in', found 'on'", 8, "in"),
+    (6, "word w = 0:(1 2)", "expected 'in', found '='", 8, "'in'"),
+    (6, "word w", "unexpected end of line, expected 'in'", 7, "'in'"),
+    (4, "amalgam G = S3,", "unexpected end of line, expected a factor group name", 16,
+     "a factor group name"),
+    (4, "amalgam G = S3, , S3 over C3 via ea, eb", "expected a factor group name, found ','",
+     17, "a factor group name"),
+    (4, "amalgam G = S3, S3, over C3 via ea, eb", "expected 'over', found 'C3'", 26, "over"),
+    (4, "amalgam G = S3, S3 over C3 via ea,", "unexpected end of line, expected an embedding name",
+     35, "an embedding name"),
+    (4, "amalgam G = S3, S3 over C3 via ea, ; eb", "expected an embedding name, found ';'", 36,
+     "an embedding name"),
+    (0, "group P = perm 3 { (1 2)", "unexpected end of line, expected a cycle", 25, "a cycle"),
+    (0, "group P = perm 3 { (1 2);", "unexpected end of line, expected a cycle", 26, "a cycle"),
+    (0, "group P = perm 3 { (1 2);; (1 2 3) }", "expected a cycle, found ';'", 26, "(p1 p2 ...)"),
+    (2, "embed ea : C3 -> S3 { g -> (1 2 3)",
+     "unexpected end of line, expected a source generator", 35, "a source generator"),
+    (2, "embed ea : C3 -> S3 { g -> (1 2 3);",
+     "unexpected end of line, expected a source generator", 36, "a source generator"),
+    (2, "embed ea : C3 -> S3 { g -> (1 2 3)^", "unexpected end of line, expected an exponent", 36,
+     "an exponent"),
+    (2, "embed ea : C3 -> S3 { g -> (1 2 3)^ }", "expected an exponent, found '}'", 37,
+     "an exponent"),
+    (2, "embed ea : C3 -> S3 { g -> g^ }", "expected an exponent, found '}'", 31, "an exponent"),
+    (0, "group A = abelian [2,,4]", "expected a divisor, found ','", 22, "integer"),
+    (0, "group A = abelian [2,", "unexpected end of line, expected a divisor or ']'", 22,
+     "a divisor or ']'"),
+]
+
+
+@pytest.mark.parametrize("kept, line, message, col, expected", GRAMMAR_ERRORS)
+def test_grammar_error_details(kept, line, message, col, expected):
+    prefix = "".join(S3_PAIR.splitlines(keepends=True)[:kept])
+    with pytest.raises(ParseError) as exc:
+        parse(prefix + line)
+    err = exc.value
+    assert (str(err), err.line, err.col, err.expected) == (message, kept + 1, col, expected)
 
 
 # ---------------------------------------------------------------- tokenizer
@@ -485,6 +544,31 @@ def test_cyclic_1_generator_must_map_to_the_identity():
     with pytest.raises(NotAHomomorphism) as exc:
         resolve(sf)
     assert str(exc.value) == "generator g1 is the identity but maps to (1 2)"
+
+
+IDENTITY_GENERATOR = """\
+group P = perm 3 { (); (1 2) }
+group C1 = cyclic 1
+group C2 = cyclic 2
+embed e : P -> C2 { g1 -> e; g2 -> g }
+embed a : C1 -> P { g -> e }
+amalgam D = P, P over C1 via a, a
+"""
+
+
+def test_identity_listed_in_a_perm_group_is_not_a_generator():
+    ctx = resolve(parse(IDENTITY_GENERATOR))
+    assert ctx.groups["P"].generator_indices == (1,)
+    assert ctx.embeds["e"].images == (0, 1)
+    cert = double_retraction(ctx.amalgams["D"])
+    assert cert.hom_data["factor_0"] == [["(1 2)", "(1 2)"]]
+
+
+def test_identity_listed_in_a_perm_group_must_map_to_the_identity():
+    sf = parse(IDENTITY_GENERATOR.replace("g1 -> e; g2 -> g", "g1 -> g; g2 -> g"))
+    with pytest.raises(NotAHomomorphism) as exc:
+        resolve(sf)
+    assert str(exc.value) == "generator g1 is the identity but maps to g"
 
 
 def test_cyclic_1_is_a_target():
