@@ -16,8 +16,11 @@ identity symbol e. Word syllables name their factor either by group name
 (which must occur exactly once among the factors) or by 0-based position.
 Blank lines and ``#`` comments are ignored. In ``abelian [...]`` literals
 the torsion divisors (>= 2) must precede the free markers (0) so that
-generator numbers match coordinates. A perm degree is at most
-MAX_PERM_DEGREE.
+generator numbers match coordinates; the entries are separated by commas,
+one comma may follow the last, and ``[]`` is the trivial group. ``over``
+and ``via`` are keywords: no group or embedding may take either name, so a
+trailing comma before one is an error at the keyword. A perm degree is at
+most MAX_PERM_DEGREE.
 """
 
 from __future__ import annotations
@@ -66,6 +69,9 @@ _TOKEN_RE = re.compile(
     r")"
 )
 _POINT_RE = re.compile(r"\d+")
+# keywords that end a name list in an amalgam statement, so no group or
+# embedding may be named after them
+_KEYWORDS = ("over", "via")
 _GEN_RE = re.compile(r"g(\d*)")
 
 
@@ -215,11 +221,21 @@ class _Cursor:
                 f"expected {word!r}, found {tok.text!r}", tok.line, tok.col, expected=word
             )
 
+    def name(self, what: str) -> str:
+        """An identifier that is not one of the keywords ``over`` and ``via``."""
+        tok = self.expect_ident(what)
+        if tok.text in _KEYWORDS:
+            raise ParseError(
+                f"expected {what}, found {tok.text!r}", tok.line, tok.col, expected=what
+            )
+        return tok.text
+
     def names(self, what: str) -> list:
-        """A comma-separated list of identifiers."""
-        out = [self.expect_ident(what).text]
+        """A comma-separated list of names, so that a trailing comma before
+        ``over`` or ``via`` is an error there."""
+        out = [self.name(what)]
         while self.accept(","):
-            out.append(self.expect_ident(what).text)
+            out.append(self.name(what))
         return out
 
     def require_end(self):
@@ -344,7 +360,7 @@ def _parse_element_expr(cur: _Cursor, decl: GroupDecl) -> ElementExpr:
 
 
 def _parse_group(cur: _Cursor) -> GroupDecl:
-    name = cur.expect_ident("a group name").text
+    name = cur.name("a group name")
     cur.expect("=")
     kind_tok = cur.expect_ident("perm, cyclic, free-abelian, or abelian")
     kind = kind_tok.text
@@ -396,10 +412,9 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
     if kind == "abelian":
         cur.expect("[")
         divisors = []
-        while True:
+        # divisors are comma-separated, and a comma may end the list
+        while not cur.accept("]"):
             tok = cur.next("a divisor or ']'")
-            if tok.text == "]":
-                break
             if tok.kind != "num":
                 raise ParseError(
                     f"expected a divisor, found {tok.text!r}",
@@ -415,7 +430,16 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
                     tok.col,
                 )
             divisors.append(d)
-            cur.accept(",")
+            tok = cur.next("',' or ']'")
+            if tok.text == "]":
+                break
+            if tok.text != ",":
+                raise ParseError(
+                    f"expected ',' or ']', found {tok.text!r}",
+                    tok.line,
+                    tok.col,
+                    expected="',' or ']'",
+                )
         for i in range(1, len(divisors)):
             if divisors[i] != 0 and divisors[i - 1] == 0:
                 raise ParseError(
@@ -434,7 +458,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
 
 
 def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
-    name = cur.expect_ident("an embedding name").text
+    name = cur.name("an embedding name")
     cur.expect(":")
     source = cur.expect_ident("the amalgam group name").text
     if source not in groups:

@@ -8,7 +8,9 @@ enters at any stage, so all outputs are exactly reproducible.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 from .errors import ElementOutOfRange, IncompatibleAmalgam, InvalidGroup
@@ -95,11 +97,18 @@ class IntMatrix:
             )
         return IntMatrix.from_rows(out) if out else IntMatrix.zeros(0, other.cols)
 
+    @cached_property
+    def _row_tuples(self) -> tuple[tuple[int, ...], ...]:
+        # built on the first matvec only: hnf and snf make many matrices
+        # that are never applied to a vector
+        return tuple(self.row(i) for i in range(self.rows))
+
     def matvec(self, v) -> tuple[int, ...]:
-        v = list(v)
+        if not isinstance(v, (tuple, list)):
+            v = list(v)
         if len(v) != self.cols:
             raise InvalidGroup(f"vector length {len(v)} does not match {self.cols} columns")
-        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
+        return tuple([sum(map(operator.mul, row, v)) for row in self._row_tuples])
 
 
 def int_det(M: IntMatrix) -> int:
@@ -365,10 +374,19 @@ class LatticeSubgroup:
         self.ambient_rank = ambient_rank
         self.gens = gens
         H, U = hnf(gens)
-        self._H = H
-        self._U = U
-        self._pivots = _hnf_pivots(H)
-        nonzero = [H.column(j) for (_, j) in self._pivots]
+        pivots = _hnf_pivots(H)
+        # Reduction steps, fixed once: pivot row, pivot value and the pivot
+        # column's nonzero (row, entry) pairs. A step takes q = v[row] // pivot
+        # and subtracts q times the column; entries above the pivot are zero.
+        self._steps = tuple(
+            (i, H.entry(i, j), tuple((k, x) for k, x in enumerate(H.column(j)) if x))
+            for i, j in pivots
+        )
+        # U's pivot columns: the q of each step in generator coordinates
+        self._pivot_transform = IntMatrix.from_columns(
+            [U.column(j) for _, j in pivots], rows=U.rows
+        )
+        nonzero = [H.column(j) for (_, j) in pivots]
         self.basis = (
             IntMatrix.from_columns(nonzero, rows=ambient_rank)
             if nonzero
@@ -384,23 +402,23 @@ class LatticeSubgroup:
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._steps)
 
     def _forward(self, v) -> tuple[tuple[int, ...], list[int]]:
-        w = list(int(x) for x in v)
+        """(rep, q): rep = v - (sum over steps of q * pivot column)."""
+        w = list(map(int, v))
         if len(w) != self.ambient_rank:
             raise IncompatibleAmalgam(
                 f"vector length {len(w)} in Z^{self.ambient_rank}"
             )
-        coeffs = [0] * self._H.cols
-        for (ri, ci) in self._pivots:
-            q = w[ri] // self._H.entry(ri, ci)
+        qs = []
+        for i, pivot, col in self._steps:
+            q = w[i] // pivot
             if q:
-                col = self._H.column(ci)
-                for i in range(self.ambient_rank):
-                    w[i] -= q * col[i]
-            coeffs[ci] = q
-        return tuple(w), coeffs
+                for k, x in col:
+                    w[k] -= q * x
+            qs.append(q)
+        return tuple(w), qs
 
     def reduce(self, v) -> tuple[int, ...]:
         """Canonical representative of v modulo this lattice."""
@@ -409,10 +427,12 @@ class LatticeSubgroup:
     def decompose(self, v) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rep, coeffs) with rep = reduce(v) and v - rep = gens * coeffs.
 
-        _forward gives rep = v - H*q, and H = gens*U makes H*q = gens*(U*q).
+        _forward gives rep = v - H*q, where q is zero off the pivot columns
+        and holds one quotient per step there, and H = gens*U makes
+        H*q = gens*(U*q): U's pivot columns times the step quotients.
         """
         rep, q = self._forward(v)
-        return rep, self._U.matvec(q)
+        return rep, self._pivot_transform.matvec(q)
 
     def __repr__(self):
         return f"LatticeSubgroup(rank {self.rank} in Z^{self.ambient_rank})"
@@ -447,26 +467,27 @@ class FGAbelian:
         object.__setattr__(self, "ngens", ngens)
         object.__setattr__(self, "identity", (0,) * ngens)
 
+    def mod_torsion(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """A tuple of ngens ints with each torsion coordinate taken mod its
+        d_i, unchecked; v itself when the group has no torsion."""
+        t = self.torsion
+        return (*map(operator.mod, v, t), *v[len(t):]) if t else v
+
     def canon(self, v) -> tuple[int, ...]:
-        v = [int(x) for x in v]
+        v = tuple(map(int, v))
         if len(v) != self.ngens:
             raise IncompatibleAmalgam(f"element length {len(v)}, expected {self.ngens}")
-        for i, d in enumerate(self.torsion):
-            v[i] %= d
-        return tuple(v)
+        return self.mod_torsion(v)
 
     def check(self, v) -> tuple[int, ...]:
         """canon(v), once v is known to be a coordinate vector of this group."""
         if not isinstance(v, (tuple, list)) or len(v) != self.ngens:
             raise ElementOutOfRange(f"{v!r} is not a coordinate vector of length {self.ngens}")
-        return self.canon(v)
+        return self.mod_torsion(tuple(map(int, v)))
 
     def mul(self, a, b) -> tuple[int, ...]:
         """a + b for canonical a and b, with its torsion coordinates reduced."""
-        v = [x + y for x, y in zip(a, b, strict=True)]
-        for i, d in enumerate(self.torsion):
-            v[i] %= d
-        return tuple(v)
+        return self.mod_torsion(tuple([x + y for x, y in zip(a, b, strict=True)]))
 
     def relation_columns(self) -> list[tuple[int, ...]]:
         """Columns of Z^ngens that are identified with zero (the torsion)."""

@@ -93,14 +93,14 @@ class _OracleFactor:
                     return (c if self._c_finite else ()), t
             raise AssertionError("coset scan failed")
         rep, coeffs = self._lat.decompose(x)
-        return coeffs[: self._c_rank], self.group.canon(rep)
+        return coeffs[: self._c_rank], self.group.mod_torsion(rep)
 
     def embed_amalgam(self, c):
         if self.finite:
             return self._image[c] if self._c_finite else self.group.identity
         if self._c_rank == 0:
             return self.group.identity
-        return self.group.canon(self._embed.matvec(c))
+        return self.group.mod_torsion(self._embed.matvec(c))
 
 
 _HELPERS = WeakKeyDictionary()  # spec -> its _OracleFactor helpers

@@ -122,7 +122,9 @@ class _AbelianAdapter:
                     )
 
     def embed_c(self, c):
-        return self.group.canon(self.embed.matvec(c))
+        # matvec returns exact ints of the right length; only torsion can
+        # leave them non-canonical
+        return self.group.mod_torsion(self.embed.matvec(c))
 
     def decompose(self, x):
         """x = embed(c) + rep, rep already canonical.

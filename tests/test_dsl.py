@@ -274,7 +274,13 @@ GRAMMAR_ERRORS = [
      "a factor group name"),
     (4, "amalgam G = S3, , S3 over C3 via ea, eb", "expected a factor group name, found ','",
      17, "a factor group name"),
-    (4, "amalgam G = S3, S3, over C3 via ea, eb", "expected 'over', found 'C3'", 26, "over"),
+    (4, "amalgam G = S3, S3, over C3 via ea, eb", "expected a factor group name, found 'over'",
+     21, "a factor group name"),
+    (4, "amalgam G = S3, S3 over C3 via ea, via", "expected an embedding name, found 'via'", 36,
+     "an embedding name"),
+    (0, "group over = cyclic 2", "expected a group name, found 'over'", 7, "a group name"),
+    (2, "embed via : C3 -> S3 { g -> (1 2 3) }", "expected an embedding name, found 'via'", 7,
+     "an embedding name"),
     (4, "amalgam G = S3, S3 over C3 via ea,", "unexpected end of line, expected an embedding name",
      35, "an embedding name"),
     (4, "amalgam G = S3, S3 over C3 via ea, ; eb", "expected an embedding name, found ';'", 36,
@@ -294,6 +300,8 @@ GRAMMAR_ERRORS = [
     (0, "group A = abelian [2,,4]", "expected a divisor, found ','", 22, "integer"),
     (0, "group A = abelian [2,", "unexpected end of line, expected a divisor or ']'", 22,
      "a divisor or ']'"),
+    (0, "group A = abelian [2 4]", "expected ',' or ']', found '4'", 22, "',' or ']'"),
+    (0, "group A = abelian [2", "unexpected end of line, expected ',' or ']'", 21, "',' or ']'"),
 ]
 
 
@@ -496,6 +504,15 @@ def test_resolve_mixed_divisor_list():
     ctx = resolve(parse("group T = abelian [2,4,0]\n"))
     T = ctx.groups["T"]
     assert (T.free_rank, T.torsion) == (1, (2, 4))
+
+
+@pytest.mark.parametrize(
+    "body, divisors",
+    [("[]", ()), ("[2]", (2,)), ("[2,4,0]", (2, 4, 0)), ("[ 2 , 4 , 0 ]", (2, 4, 0)),
+     ("[2,4,0,]", (2, 4, 0)), ("[0,]", (0,))],
+)
+def test_abelian_divisors_are_comma_separated_with_an_optional_trailing_comma(body, divisors):
+    assert parse(f"group A = abelian {body}\n").declarations[0].divisors == divisors
 
 
 def test_resolve_trivial_abelian_into_finite_factor():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgam.errors import ElementOutOfRange, InvalidGroup
+from amalgam.errors import ElementOutOfRange, IncompatibleAmalgam, InvalidGroup
 from amalgam.lattice import (
     FGAbelian,
     IntMatrix,
@@ -469,6 +470,125 @@ def test_fgabelian_check_canonicalises_a_coordinate_vector():
     for bad in (3, (1,), (1, 2, 3), "ab"):
         with pytest.raises(ElementOutOfRange):
             B.check(bad)
+
+
+# -- element kernels against plain definitions --------------------------------
+
+TORSION_CHAINS = [(), (2,), (3, 6), (2, 4, 4), (2, 2, 4, 8)]
+
+
+def ref_matvec(A: IntMatrix, v) -> tuple:
+    return tuple(sum(A.entry(i, j) * v[j] for j in range(A.cols)) for i in range(A.rows))
+
+
+def ref_canon(torsion, v) -> tuple:
+    return tuple(x % torsion[i] if i < len(torsion) else x for i, x in enumerate(v))
+
+
+def ref_is_reduced(basis: IntMatrix, rep) -> bool:
+    """rep lies in [0, pivot) in the pivot row of every column of an HNF basis."""
+    for j in range(basis.cols):
+        col = basis.column(j)
+        i = next(k for k, x in enumerate(col) if x)
+        if not 0 <= rep[i] < col[i]:
+            return False
+    return True
+
+
+def kernel_cases():
+    """Seeded lattices over ranks 1-4, with and without torsion columns,
+    negative entries and dependent generators, each with its group."""
+    rng = random.Random(20261020)
+    for r in range(1, 5):
+        for torsion in (t for t in TORSION_CHAINS if len(t) <= r):
+            for _ in range(6):
+                cols = [
+                    tuple(rng.randint(-6, 6) for _ in range(r))
+                    for _ in range(rng.randint(0, r + 1))
+                ]
+                cols += [tuple(d if i == k else 0 for i in range(r)) for k, d in enumerate(torsion)]
+                if cols and rng.random() < 0.5:
+                    a, b = rng.choice(cols), rng.choice(cols)
+                    cols.append(tuple(2 * x - y for x, y in zip(a, b)))
+                yield rng, LatticeSubgroup.from_vectors(r, cols), FGAbelian(r - len(torsion), torsion)
+
+
+def test_element_kernels_match_plain_definitions():
+    cases = dependent = with_torsion = 0
+    for rng, L, G in kernel_cases():
+        r, n = L.ambient_rank, L.gens.cols
+        dependent += L.rank < n
+        with_torsion += bool(G.torsion)
+        for _ in range(8):
+            v = tuple(rng.randint(-40, 40) for _ in range(r))
+            c = tuple(rng.randint(-5, 5) for _ in range(n))
+            assert L.gens.matvec(c) == L.gens.matvec(list(c)) == ref_matvec(L.gens, c)
+            rep, coeffs = L.decompose(v)
+            assert len(coeffs) == n
+            assert tuple(a - b for a, b in zip(v, rep)) == ref_matvec(L.gens, coeffs)
+            assert ref_is_reduced(L.basis, rep)
+            shifted = tuple(a + b for a, b in zip(v, ref_matvec(L.gens, c)))
+            assert L.reduce(v) == L.reduce(list(shifted)) == rep
+            a, b = G.canon(v), G.canon(tuple(rng.randint(-40, 40) for _ in range(r)))
+            assert a == G.check(v) == G.check(list(v)) == ref_canon(G.torsion, v)
+            assert G.mul(a, b) == ref_canon(G.torsion, [x + y for x, y in zip(a, b)])
+            assert G.mul(a, G.identity) == a
+            cases += 1
+    assert cases == 8 * 6 * 14
+    assert dependent >= 10 and with_torsion >= 40
+
+
+def test_element_kernels_stay_exact_on_large_integers():
+    big = 3**80
+    L = LatticeSubgroup.from_vectors(2, [(2, 0), (1, 7)])
+    rep, coeffs = L.decompose((big, -big))
+    assert tuple(a - b for a, b in zip((big, -big), rep)) == ref_matvec(L.gens, coeffs)
+    assert all(type(x) is int for x in rep + coeffs)
+    G = FGAbelian(1, (6,))
+    assert G.canon((big, big)) == G.check([big, big]) == (big % 6, big)
+    assert G.mul((5, big), (5, big)) == (4, 2 * big)
+    assert IntMatrix.from_rows([[big, 1]]).matvec((big, -1)) == (big * big - 1,)
+
+
+def test_element_kernels_keep_their_errors():
+    A = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    L = LatticeSubgroup.from_vectors(2, [(2, 0)])
+    G = FGAbelian(1, (2,))
+    calls = [
+        (lambda: A.matvec((1, 2, 3)), InvalidGroup, "vector length 3 does not match 2 columns"),
+        (lambda: A.matvec([1]), InvalidGroup, "vector length 1 does not match 2 columns"),
+        (lambda: A.matvec(5), TypeError, "'int' object is not iterable"),
+        (lambda: L.decompose((1, 2, 3)), IncompatibleAmalgam, "vector length 3 in Z^2"),
+        (lambda: L.reduce([1]), IncompatibleAmalgam, "vector length 1 in Z^2"),
+        (lambda: L.decompose(5), TypeError, "'int' object is not iterable"),
+        (lambda: G.canon((1, 2, 3)), IncompatibleAmalgam, "element length 3, expected 2"),
+        (lambda: G.canon(5), TypeError, "'int' object is not iterable"),
+        (lambda: G.check((1, 2, 3)), ElementOutOfRange,
+         "(1, 2, 3) is not a coordinate vector of length 2"),
+        (lambda: G.check(5), ElementOutOfRange, "5 is not a coordinate vector of length 2"),
+        (lambda: G.mul((1, 2), (1,)), ValueError, "zip() argument 2 is shorter than argument 1"),
+        (lambda: G.mul((1,), (1, 2)), ValueError, "zip() argument 2 is longer than argument 1"),
+    ]
+    for call, error, message in calls:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_cached_kernel_data_leaves_equality_hash_and_repr_alone():
+    A = IntMatrix.from_rows([[1, -2], [0, 3]])
+    G = FGAbelian(1, (2, 4))
+    L = LatticeSubgroup.from_vectors(3, [(2, 0, 0), (0, 4, 0), (1, 1, 5)])
+    before = [(repr(x), hash(x)) for x in (A, G)] + [repr(L)]
+    A.matvec((1, 1))
+    G.mul(G.check((1, 2, 3)), G.canon((3, 3, 3)))
+    L.decompose((7, 7, 7))
+    assert [(repr(x), hash(x)) for x in (A, G)] + [repr(L)] == before
+    assert repr(A) == "IntMatrix(rows=2, cols=2, entries=(1, -2, 0, 3))"
+    assert A == IntMatrix(2, 2, (1, -2, 0, 3)) and hash(A) == hash(IntMatrix(2, 2, (1, -2, 0, 3)))
+    assert G == FGAbelian(1, (2, 4)) and hash(G) == hash(FGAbelian(1, (2, 4)))
+    assert [f.name for f in dataclasses.fields(A)] == ["rows", "cols", "entries"]
+    assert [f.name for f in dataclasses.fields(G)] == ["free_rank", "torsion", "ngens", "identity"]
 
 
 # -- abelianization from relators ----------------------------------------------

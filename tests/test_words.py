@@ -510,6 +510,51 @@ def test_reduce_matches_oracle_on_long_words(fname):
         assert reduce(spec, word + inverse(spec, word)).is_identity()
 
 
+# Z/2 x Z and Z glued along Z, the first factor's copy of C being 2 * g2:
+# the text of test_cli.py's torsion_lattice spec.
+TORSION_LATTICE = """\
+group A = abelian [2,0]
+group B = free-abelian 1
+group C = free-abelian 1
+embed ea : C -> A { g -> g2^2 }
+embed eb : C -> B { g -> g1 }
+amalgam M = A, B over C via ea, eb
+"""
+
+
+# the same factors, with C's image g1 g2^2 reaching the torsion coordinate
+TORSION_IMAGE = TORSION_LATTICE.replace("g -> g2^2", "g -> g1 g2^2")
+
+
+@pytest.mark.parametrize(
+    "text, torsion_in_reps",
+    [((GOLDEN / "lattice.amg").read_text(), False), (TORSION_LATTICE, True),
+     # C's image has odd torsion coordinate, so every coset has a rep with 0 there
+     (TORSION_IMAGE, False)],
+    ids=["lattice", "torsion_lattice", "torsion_image"],
+)
+def test_reduce_matches_oracle_on_abelian_words_of_the_spec_length(text, torsion_in_reps):
+    """Seeded 48-64-syllable words through the torsion-free and torsion steps."""
+    (spec,) = resolve(parse(text)).amalgams.values()
+    A = spec.factors[0]
+    for c in range(-3, 4):
+        x = spec.adapters[0].embed_c((c,))
+        assert x == A.check(x)
+    rng = random.Random(26)
+    reps_with_torsion = 0
+    for _ in range(40):
+        n = rng.randint(48, 64)
+        word = [random_syllable(spec, rng, rng.randrange(len(spec.factors))) for _ in range(n)]
+        nf = reduce(spec, word)
+        assert nf == oracle_reduce(spec, word)
+        assert is_normal_form(spec, nf)
+        round_trip = word + inverse(spec, word)
+        assert reduce(spec, round_trip).is_identity()
+        assert oracle_reduce(spec, round_trip).is_identity()
+        reps_with_torsion += sum(1 for i, t in nf.tail if i == 0 and any(t[: len(A.torsion)]))
+    assert (reps_with_torsion > 0) == torsion_in_reps
+
+
 # ------------------------------------------------- identity not at index 0
 
 
