@@ -253,9 +253,9 @@ def test_bad_points_in_cycles_are_reported_at_their_own_columns():
 
 
 # Each bad line follows the first `kept` lines of S3_PAIR, so it is line kept + 1.
-# The rows pin the message, column and expected text of every error raised
-# where the parser reads an arrow, a keyword, a list separator or a closing
-# brace, at the end of the line, on punctuation and on a wrong identifier.
+# The rows pin the message, column and expected text of every ParseError the
+# parser raises: at the end of the line, at a token it did not expect, and
+# at a token whose value is out of range.
 GRAMMAR_ERRORS = [
     (2, "embed ea : C3", "unexpected end of line, expected '->'", 14, "'->'"),
     (2, "embed ea : C3 = S3 { g -> (1 2 3) }", "expected '->', found '='", 15, "->"),
@@ -302,6 +302,40 @@ GRAMMAR_ERRORS = [
      "a divisor or ']'"),
     (0, "group A = abelian [2 4]", "expected ',' or ']', found '4'", 22, "',' or ']'"),
     (0, "group A = abelian [2", "unexpected end of line, expected ',' or ']'", 21, "',' or ']'"),
+    (0, "group A = cyclic 2 extra", "trailing input 'extra'", 20, "end of line"),
+    (0, "group A = cyclic 2 @", "unrecognized character '@'", 20, "token"),
+    (2, "embed ea : C3 -> S3 { x -> (1 2 3) }", "expected a generator symbol, found 'x'", 23,
+     "g1..g1"),
+    (2, "embed ea : C3 -> S3 { g2 -> (1 2 3) }",
+     "generator g2 out of range (the group declares 1)", 23, "g1..g1"),
+    (2, "embed ea : C3 -> S3 { g -> (1 4) }", "point 4 outside degree 3", 31, "1..3"),
+    (0, "group S3 = perm 3 { (1 2)(2 07 3) }", "point 7 outside degree 3", 29, "1..3"),
+    (0, "group S3 = perm 3 { (1 -2) }", "point -2 outside degree 3", 24, "1..3"),
+    (0, "group S3 = perm 3 { (1 x) }", "expected a point, found 'x'", 24, "integer"),
+    (2, "embed ea : C3 -> C3 { g -> (1 2) }",
+     "cycle notation is only valid in permutation groups", 28, "generator symbol"),
+    (2, "embed ea : C3 -> S3 { g -> 5 }", "unexpected '5' in element expression", 28,
+     "generator, cycle, or 'e'"),
+    (2, "embed ea : C3 -> S3 { g -> }", "empty element expression", 28, "an atom"),
+    (5, "word w in G = 0:", "empty element expression", 17, "an atom"),
+    (0, "group P = perm 0 { }", "degree 0 must be positive", 11, ""),
+    (0, "group Z = cyclic 0", "order 0 must be positive", 11, ""),
+    (0, "group Z = free-abelian -1", "rank -1 must be nonnegative", 11, ""),
+    (0, "group A = abelian [1,2]", "divisor 1 must be 0 (a free factor) or at least 2", 20, ""),
+    (0, "group A = abelian [0,2]", "torsion divisors must precede free factors (0 entries)", 1,
+     ""),
+    (0, "group A = dihedral 4", "unknown group kind 'dihedral'", 11,
+     "perm, cyclic, free-abelian, or abelian"),
+    (2, "embed ea : C3 -> S3 { g -> (1 2 3); g -> (1 2 3) }", "generator g1 mapped twice", 37,
+     ""),
+    (2, "embed ex : S3 -> S3 { g1 -> (1 2) }", "no image for generator(s) g2", 36, ""),
+    (5, "word w in G = 2:(1 2)", "factor index 2 out of range", 15, "0..1"),
+    (5, "word w in G = :(1 2)", "expected a factor reference, found ':'", 15,
+     "group name or index"),
+    (5, "word w in G = 0:(1 2) ; 1:(1 2 3)", "expected '*' between syllables, found ';'", 23,
+     "*"),
+    (1, "fnord x = 1", "unknown statement 'fnord'", 1, "group, embed, amalgam, or word"),
+    (1, "group S3 = cyclic 2", "name 'S3' already declared", 1, ""),
 ]
 
 
@@ -312,6 +346,32 @@ def test_grammar_error_details(kept, line, message, col, expected):
         parse(prefix + line)
     err = exc.value
     assert (str(err), err.line, err.col, err.expected) == (message, kept + 1, col, expected)
+
+
+# Each text follows the first `kept` lines of S3_PAIR. The rows pin the message
+# and name of every ResolutionError that parse or resolve raises.
+RESOLUTION_ERRORS = [
+    (2, "embed ex : C9 -> S3 { g -> (1 2 3) }", "unknown group 'C9'", "C9"),
+    (2, "embed ex : C3 -> S9 { g -> (1 2 3) }", "unknown group 'S9'", "S9"),
+    (4, "amalgam H = S3, S9 over C3 via ea, eb", "unknown group 'S9'", "S9"),
+    (4, "amalgam H = S3, S3 over C9 via ea, eb", "unknown group 'C9'", "C9"),
+    (4, "amalgam H = S9, S3 over C9 via ea, ec", "unknown group 'S9'", "S9"),
+    (4, "amalgam H = S3, S3 over C3 via ea, ec", "unknown embedding 'ec'", "ec"),
+    (5, "word w in H = 0:(1 2)", "unknown amalgam 'H'", "H"),
+    (5, "word w in G = C3:g", "'C3' is not a factor of 'G'", "C3"),
+    (5, "word w in G = S3:(1 2)",
+     "'S3' occurs 2 times among the factors; use a 0-based index instead", "S3"),
+    (2, "group A3 = perm 3 { (1 2 3) }\nembed ex : C3 -> A3 { g -> (1 2) }",
+     "permutation (1 2) is not an element of A3", "(1 2)"),
+]
+
+
+@pytest.mark.parametrize("kept, text, message, name", RESOLUTION_ERRORS)
+def test_resolution_error_details(kept, text, message, name):
+    prefix = "".join(S3_PAIR.splitlines(keepends=True)[:kept])
+    with pytest.raises(ResolutionError) as exc:
+        resolve(parse(prefix + text))
+    assert (str(exc.value), exc.value.name) == (message, name)
 
 
 # ---------------------------------------------------------------- tokenizer
