@@ -29,6 +29,7 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     abelian_invariants,
+    derived_subgroup,
     frattini,
     is_nilpotent,
     series,
@@ -256,8 +257,7 @@ def _cmd_snf(ctx, args):
 def _cmd_frattini(ctx, args):
     G = _pick_finite_group(ctx, args.group, "frattini")
     phi = frattini(G, cap=args.frattini_cap)
-    chain = series(G, "derived")
-    delta2 = chain.terms[1] if len(chain.terms) > 1 else chain.terms[0]
+    delta2 = derived_subgroup(G)
     phi_set = set(phi.elements)
     body = {
         "group": args.group,

@@ -19,8 +19,8 @@ the torsion divisors (>= 2) must precede the free markers (0) so that
 generator numbers match coordinates; the entries are separated by commas,
 one comma may follow the last, and ``[]`` is the trivial group. ``over``
 and ``via`` are keywords: no group or embedding may take either name, so a
-trailing comma before one is an error at the keyword. A perm degree is at
-most MAX_PERM_DEGREE.
+trailing comma before one, or a missing amalgam group before ``via``, is an
+error at the keyword. A perm degree is at most MAX_PERM_DEGREE.
 """
 
 from __future__ import annotations
@@ -146,6 +146,16 @@ class SpecFile:
     declarations: tuple = ()
 
 
+def _error_at(tok, message: str, expected: str = "") -> ParseError:
+    """A ParseError that points at tok's line and column."""
+    return ParseError(message, tok.line, tok.col, expected=expected)
+
+
+def _found(tok, what: str, expected: str) -> ParseError:
+    """The error for tok where the grammar needs `what`."""
+    return _error_at(tok, f"expected {what}, found {tok.text!r}", expected)
+
+
 class _Cursor:
     """Token stream over one statement line; a None sentinel marks its end."""
 
@@ -160,13 +170,12 @@ class _Cursor:
     def peek(self) -> Token | None:
         return self.tokens[self.pos]
 
+    def end(self) -> Token:
+        """A token just past the end of the line, for errors about what is missing."""
+        return Token("end", "", self.line, self.end_col)
+
     def _end_of_line(self, expected: str) -> ParseError:
-        return ParseError(
-            f"unexpected end of line, expected {expected}",
-            self.line,
-            self.end_col,
-            expected=expected,
-        )
+        return _error_at(self.end(), f"unexpected end of line, expected {expected}", expected)
 
     def next(self, expected: str) -> Token:
         tok = self.tokens[self.pos]
@@ -180,29 +189,20 @@ class _Cursor:
         if tok is None:
             raise self._end_of_line(repr(text))
         if tok.text != text:
-            raise ParseError(
-                f"expected {text!r}, found {tok.text!r}",
-                tok.line,
-                tok.col,
-                expected=text,
-            )
+            raise _found(tok, repr(text), text)
         self.pos += 1
         return tok
 
     def expect_ident(self, what: str) -> Token:
         tok = self.next(what)
         if tok.kind != "ident":
-            raise ParseError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.col, expected=what
-            )
+            raise _found(tok, what, what)
         return tok
 
     def expect_number(self, what: str) -> int:
         tok = self.next(what)
         if tok.kind != "num":
-            raise ParseError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.col, expected=what
-            )
+            raise _found(tok, what, what)
         return int(tok.text)
 
     def accept(self, text: str) -> bool:
@@ -217,17 +217,13 @@ class _Cursor:
         """The next token must be the identifier ``word``."""
         tok = self.expect_ident(repr(word))
         if tok.text != word:
-            raise ParseError(
-                f"expected {word!r}, found {tok.text!r}", tok.line, tok.col, expected=word
-            )
+            raise _found(tok, repr(word), word)
 
     def name(self, what: str) -> str:
         """An identifier that is not one of the keywords ``over`` and ``via``."""
         tok = self.expect_ident(what)
         if tok.text in _KEYWORDS:
-            raise ParseError(
-                f"expected {what}, found {tok.text!r}", tok.line, tok.col, expected=what
-            )
+            raise _found(tok, what, what)
         return tok.text
 
     def names(self, what: str) -> list:
@@ -241,9 +237,7 @@ class _Cursor:
     def require_end(self):
         tok = self.peek()
         if tok is not None:
-            raise ParseError(
-                f"trailing input {tok.text!r}", tok.line, tok.col, expected="end of line"
-            )
+            raise _error_at(tok, f"trailing input {tok.text!r}", "end of line")
 
 
 def _tokenize_line(text: str, line_no: int) -> list:
@@ -255,47 +249,33 @@ def _tokenize_line(text: str, line_no: int) -> list:
     if tokens and tokens[-1].kind in ("comment", "bad"):
         last = tokens.pop()
         if last.kind == "bad":
-            raise ParseError(
-                f"unrecognized character {last.text[0]!r}", line_no, last.col,
-                expected="token",
-            )
+            raise _error_at(last, f"unrecognized character {last.text[0]!r}", "token")
     return tokens
 
 
 def _parse_gen_symbol(tok: Token, gen_count: int) -> int:
     m = _GEN_RE.fullmatch(tok.text)
     if m is None:
-        raise ParseError(
-            f"expected a generator symbol, found {tok.text!r}",
-            tok.line,
-            tok.col,
-            expected="g1..g%d" % gen_count,
-        )
+        raise _found(tok, "a generator symbol", f"g1..g{gen_count}")
     idx = int(m.group(1)) if m.group(1) else 1
     if not 1 <= idx <= gen_count:
-        raise ParseError(
+        raise _error_at(
+            tok,
             f"generator {tok.text} out of range (the group declares {gen_count})",
-            tok.line,
-            tok.col,
-            expected="g1..g%d" % gen_count,
+            f"g1..g{gen_count}",
         )
     return idx
 
 
-def _point_error(p: int, degree: int, line: int, col: int) -> ParseError:
-    return ParseError(
-        f"point {p} outside degree {degree}", line, col, expected=f"1..{degree}"
-    )
+def _point_error(tok: Token, p: int, degree: int) -> ParseError:
+    return _error_at(tok, f"point {p} outside degree {degree}", f"1..{degree}")
 
 
 def _parse_cycle(cur: _Cursor, decl: GroupDecl) -> tuple:
     open_tok = cur.next("'('")  # callers have seen the "("
     if decl.kind != "perm":
-        raise ParseError(
-            "cycle notation is only valid in permutation groups",
-            open_tok.line,
-            open_tok.col,
-            expected="generator symbol",
+        raise _error_at(
+            open_tok, "cycle notation is only valid in permutation groups", "generator symbol"
         )
     degree = decl.degree
     if open_tok.kind == "cycle":
@@ -307,19 +287,17 @@ def _parse_cycle(cur: _Cursor, decl: GroupDecl) -> tuple:
             for m in _POINT_RE.finditer(body):
                 p = int(m[0])
                 if not 1 <= p <= degree:
-                    raise _point_error(p, degree, open_tok.line, start + m.start() + 1)
+                    raise _point_error(open_tok._replace(col=start + m.start() + 1), p, degree)
         return points
     # Any other "(" is not followed by points in range and blanks up to a
     # ")", so this walk over its tokens ends at the first error.
     while True:
         tok = cur.next("a point or ')'")
         if tok.kind != "num":
-            raise ParseError(
-                f"expected a point, found {tok.text!r}", tok.line, tok.col, expected="integer"
-            )
+            raise _found(tok, "a point", "integer")
         p = int(tok.text)
         if not 1 <= p <= degree:
-            raise _point_error(p, degree, tok.line, tok.col)
+            raise _point_error(tok, p, degree)
 
 
 def _parse_power(cur: _Cursor) -> int:
@@ -345,17 +323,11 @@ def _parse_element_expr(cur: _Cursor, decl: GroupDecl) -> ElementExpr:
             idx = _parse_gen_symbol(cur.next("generator"), decl.generator_count())
             atoms.append(Atom("gen", index=idx, power=_parse_power(cur)))
         else:
-            raise ParseError(
-                f"unexpected {tok.text!r} in element expression",
-                tok.line,
-                tok.col,
-                expected="generator, cycle, or 'e'",
+            raise _error_at(
+                tok, f"unexpected {tok.text!r} in element expression", "generator, cycle, or 'e'"
             )
     if not atoms:
-        tok = cur.peek()
-        line = tok.line if tok else cur.line
-        col = tok.col if tok else cur.end_col
-        raise ParseError("empty element expression", line, col, expected="an atom")
+        raise _error_at(cur.peek() or cur.end(), "empty element expression", "an atom")
     return ElementExpr(tuple(atoms))
 
 
@@ -368,15 +340,12 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
         degree_tok = cur.peek()
         degree = cur.expect_number("a degree")
         if degree < 1:
-            raise ParseError(
-                f"degree {degree} must be positive", kind_tok.line, kind_tok.col
-            )
+            raise _error_at(kind_tok, f"degree {degree} must be positive")
         if degree > MAX_PERM_DEGREE:
-            raise ParseError(
+            raise _error_at(
+                degree_tok,
                 f"degree {degree} exceeds the cap {MAX_PERM_DEGREE}",
-                degree_tok.line,
-                degree_tok.col,
-                expected=f"1..{MAX_PERM_DEGREE}",
+                f"1..{MAX_PERM_DEGREE}",
             )
         cur.expect("{")
         shell = GroupDecl(name, "perm", degree=degree)
@@ -386,13 +355,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
             while (tok := cur.peek()) is not None and tok.text == "(":
                 cycles.append(_parse_cycle(cur, shell))
             if not cycles:
-                tok = cur.next("a cycle")
-                raise ParseError(
-                    f"expected a cycle, found {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                    expected="(p1 p2 ...)",
-                )
+                raise _found(cur.next("a cycle"), "a cycle", "(p1 p2 ...)")
             generators.append(tuple(cycles))
             cur.accept(";")
         cur.require_end()
@@ -401,13 +364,13 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
         n = cur.expect_number("an order")
         cur.require_end()
         if n < 1:
-            raise ParseError(f"order {n} must be positive", kind_tok.line, kind_tok.col)
+            raise _error_at(kind_tok, f"order {n} must be positive")
         return GroupDecl(name, "cyclic", order=n)
     if kind == "free-abelian":
         r = cur.expect_number("a rank")
         cur.require_end()
         if r < 0:
-            raise ParseError(f"rank {r} must be nonnegative", kind_tok.line, kind_tok.col)
+            raise _error_at(kind_tok, f"rank {r} must be nonnegative")
         return GroupDecl(name, "free-abelian", rank=r)
     if kind == "abelian":
         cur.expect("[")
@@ -416,30 +379,16 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
         while not cur.accept("]"):
             tok = cur.next("a divisor or ']'")
             if tok.kind != "num":
-                raise ParseError(
-                    f"expected a divisor, found {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                    expected="integer",
-                )
+                raise _found(tok, "a divisor", "integer")
             d = int(tok.text)
             if d != 0 and d < 2:
-                raise ParseError(
-                    f"divisor {d} must be 0 (a free factor) or at least 2",
-                    tok.line,
-                    tok.col,
-                )
+                raise _error_at(tok, f"divisor {d} must be 0 (a free factor) or at least 2")
             divisors.append(d)
             tok = cur.next("',' or ']'")
             if tok.text == "]":
                 break
             if tok.text != ",":
-                raise ParseError(
-                    f"expected ',' or ']', found {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                    expected="',' or ']'",
-                )
+                raise _found(tok, "',' or ']'", "',' or ']'")
         for i in range(1, len(divisors)):
             if divisors[i] != 0 and divisors[i - 1] == 0:
                 raise ParseError(
@@ -449,26 +398,25 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
                 )
         cur.require_end()
         return GroupDecl(name, "abelian", divisors=tuple(divisors))
-    raise ParseError(
-        f"unknown group kind {kind!r}",
-        kind_tok.line,
-        kind_tok.col,
-        expected="perm, cyclic, free-abelian, or abelian",
+    raise _error_at(
+        kind_tok, f"unknown group kind {kind!r}", "perm, cyclic, free-abelian, or abelian"
     )
+
+
+def _known(table: dict, name: str, kind: str):
+    """The earlier declaration of the `kind` called name, which table holds."""
+    decl = table.get(name)
+    if decl is None:
+        raise ResolutionError(f"unknown {kind} {name!r}", name=name)
+    return decl
 
 
 def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
     name = cur.name("an embedding name")
     cur.expect(":")
-    source = cur.expect_ident("the amalgam group name").text
-    if source not in groups:
-        raise ResolutionError(f"unknown group {source!r}", name=source)
+    src_decl = _known(groups, cur.expect_ident("the amalgam group name").text, "group")
     cur.expect("->")
-    target = cur.expect_ident("the factor group name").text
-    if target not in groups:
-        raise ResolutionError(f"unknown group {target!r}", name=target)
-    src_decl = groups[source]
-    tgt_decl = groups[target]
+    tgt_decl = _known(groups, cur.expect_ident("the factor group name").text, "group")
     cur.expect("{")
     images = []
     seen = set()
@@ -476,9 +424,7 @@ def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
         gen_tok = cur.expect_ident("a source generator")
         idx = _parse_gen_symbol(gen_tok, src_decl.generator_count())
         if idx in seen:
-            raise ParseError(
-                f"generator g{idx} mapped twice", gen_tok.line, gen_tok.col
-            )
+            raise _error_at(gen_tok, f"generator g{idx} mapped twice")
         seen.add(idx)
         cur.expect("->")
         images.append((idx, _parse_element_expr(cur, tgt_decl)))
@@ -486,39 +432,32 @@ def _parse_embed(cur: _Cursor, groups: dict) -> EmbedDecl:
     cur.require_end()
     missing = sorted(set(range(1, src_decl.generator_count() + 1)) - seen)
     if missing:
-        raise ParseError(
-            f"no image for generator(s) g{', g'.join(str(m) for m in missing)}",
-            cur.line,
-            cur.end_col,
+        raise _error_at(
+            cur.end(), f"no image for generator(s) g{', g'.join(str(m) for m in missing)}"
         )
-    return EmbedDecl(name, source, target, tuple(images))
+    return EmbedDecl(name, src_decl.name, tgt_decl.name, tuple(images))
 
 
-def _parse_amalgam(cur: _Cursor, groups: dict, embeds: set) -> AmalgamDecl:
+def _parse_amalgam(cur: _Cursor, groups: dict, embeds: dict) -> AmalgamDecl:
     name = cur.expect_ident("an amalgam name").text
     cur.expect("=")
     factors = cur.names("a factor group name")
     cur.keyword("over")
-    amalgam = cur.expect_ident("the amalgam group name").text
+    amalgam = cur.name("the amalgam group name")
     cur.keyword("via")
     embed_names = cur.names("an embedding name")
     cur.require_end()
     for g in factors + [amalgam]:
-        if g not in groups:
-            raise ResolutionError(f"unknown group {g!r}", name=g)
+        _known(groups, g, "group")
     for e in embed_names:
-        if e not in embeds:
-            raise ResolutionError(f"unknown embedding {e!r}", name=e)
+        _known(embeds, e, "embedding")
     return AmalgamDecl(name, tuple(factors), amalgam, tuple(embed_names))
 
 
 def _parse_word(cur: _Cursor, groups: dict, amalgams: dict) -> WordDecl:
     name = cur.expect_ident("a word name").text
     cur.keyword("in")
-    amalgam = cur.expect_ident("an amalgam name").text
-    if amalgam not in amalgams:
-        raise ResolutionError(f"unknown amalgam {amalgam!r}", name=amalgam)
-    decl = amalgams[amalgam]
+    decl = _known(amalgams, cur.expect_ident("an amalgam name").text, "amalgam")
     cur.expect("=")
     syllables = []
     while True:
@@ -526,9 +465,8 @@ def _parse_word(cur: _Cursor, groups: dict, amalgams: dict) -> WordDecl:
         if tok.kind == "num":
             idx = int(tok.text)
             if not 0 <= idx < len(decl.factors):
-                raise ParseError(
-                    f"factor index {idx} out of range", tok.line, tok.col,
-                    expected=f"0..{len(decl.factors) - 1}",
+                raise _error_at(
+                    tok, f"factor index {idx} out of range", f"0..{len(decl.factors) - 1}"
                 )
             ref = ("index", idx)
             factor_decl = groups[decl.factors[idx]]
@@ -536,7 +474,7 @@ def _parse_word(cur: _Cursor, groups: dict, amalgams: dict) -> WordDecl:
             hits = [i for i, f in enumerate(decl.factors) if f == tok.text]
             if not hits:
                 raise ResolutionError(
-                    f"{tok.text!r} is not a factor of {amalgam!r}", name=tok.text
+                    f"{tok.text!r} is not a factor of {decl.name!r}", name=tok.text
                 )
             if len(hits) > 1:
                 raise ResolutionError(
@@ -547,12 +485,7 @@ def _parse_word(cur: _Cursor, groups: dict, amalgams: dict) -> WordDecl:
             ref = ("name", tok.text)
             factor_decl = groups[tok.text]
         else:
-            raise ParseError(
-                f"expected a factor reference, found {tok.text!r}",
-                tok.line,
-                tok.col,
-                expected="group name or index",
-            )
+            raise _found(tok, "a factor reference", "group name or index")
         cur.expect(":")
         syllables.append((ref, _parse_element_expr(cur, factor_decl)))
         if len(syllables) > MAX_WORD_SYLLABLES:
@@ -564,21 +497,16 @@ def _parse_word(cur: _Cursor, groups: dict, amalgams: dict) -> WordDecl:
         if tok is None:
             break
         if tok.text != "*":
-            raise ParseError(
-                f"expected '*' between syllables, found {tok.text!r}",
-                tok.line,
-                tok.col,
-                expected="*",
-            )
+            raise _found(tok, "'*' between syllables", "*")
         cur.next("'*'")
-    return WordDecl(name, amalgam, tuple(syllables))
+    return WordDecl(name, decl.name, tuple(syllables))
 
 
 def parse(text: str) -> SpecFile:
     """Parse a complete spec file; every reference must precede its use."""
     decls = []
     groups: dict[str, GroupDecl] = {}
-    embeds: set[str] = set()
+    embeds: dict[str, EmbedDecl] = {}
     amalgams: dict[str, AmalgamDecl] = {}
     names: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -588,11 +516,8 @@ def parse(text: str) -> SpecFile:
         cur = _Cursor(tokens, line_no, raw)
         head = cur.next("a statement")
         if head.kind != "ident" or head.text not in ("group", "embed", "amalgam", "word"):
-            raise ParseError(
-                f"unknown statement {head.text!r}",
-                head.line,
-                head.col,
-                expected="group, embed, amalgam, or word",
+            raise _error_at(
+                head, f"unknown statement {head.text!r}", "group, embed, amalgam, or word"
             )
         if head.text == "group":
             decl = _parse_group(cur)
@@ -603,15 +528,13 @@ def parse(text: str) -> SpecFile:
         else:
             decl = _parse_word(cur, groups, amalgams)
         if decl.name in names:
-            raise ParseError(
-                f"name {decl.name!r} already declared", head.line, head.col
-            )
+            raise _error_at(head, f"name {decl.name!r} already declared")
         names.add(decl.name)
         decls.append(decl)
         if isinstance(decl, GroupDecl):
             groups[decl.name] = decl
         elif isinstance(decl, EmbedDecl):
-            embeds.add(decl.name)
+            embeds[decl.name] = decl
         elif isinstance(decl, AmalgamDecl):
             amalgams[decl.name] = decl
     return SpecFile(tuple(decls))

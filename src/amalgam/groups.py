@@ -407,6 +407,12 @@ def is_nilpotent(G: FiniteGroup) -> bool:
     return series(G, "lower-central").stabilizes_trivial()
 
 
+def derived_subgroup(G: FiniteGroup) -> Subgroup:
+    """[G, G], the second term of the cached derived series."""
+    terms = series(G, "derived").terms
+    return terms[1] if len(terms) > 1 else terms[0]
+
+
 def derived_length(G: FiniteGroup) -> int:
     """Number of strict steps in the derived series (0 for the trivial group)."""
     chain = series(G, "derived")

@@ -353,9 +353,7 @@ def lattice_kernel(M: IntMatrix) -> IntMatrix:
         for j in range(H.cols)
         if all(H.entry(i, j) == 0 for i in range(H.rows))
     ]
-    return IntMatrix.from_columns(
-        [U.column(j) for j in zero_cols], rows=M.cols
-    ) if zero_cols else IntMatrix.zeros(M.cols, 0)
+    return IntMatrix.from_columns([U.column(j) for j in zero_cols], rows=M.cols)
 
 
 class LatticeSubgroup:
@@ -386,18 +384,10 @@ class LatticeSubgroup:
         self._pivot_transform = IntMatrix.from_columns(
             [U.column(j) for _, j in pivots], rows=U.rows
         )
-        nonzero = [H.column(j) for (_, j) in pivots]
-        self.basis = (
-            IntMatrix.from_columns(nonzero, rows=ambient_rank)
-            if nonzero
-            else IntMatrix.zeros(ambient_rank, 0)
-        )
+        self.basis = IntMatrix.from_columns([H.column(j) for _, j in pivots], rows=ambient_rank)
 
     @classmethod
     def from_vectors(cls, ambient_rank: int, vectors) -> LatticeSubgroup:
-        vectors = [tuple(int(x) for x in v) for v in vectors]
-        if not vectors:
-            return cls(ambient_rank, IntMatrix.zeros(ambient_rank, 0))
         return cls(ambient_rank, IntMatrix.from_columns(vectors, rows=ambient_rank))
 
     @property
@@ -507,17 +497,15 @@ class IndexSplit:
     """A direct-factor split C (+) H of finite index inside Z^r.
 
     The columns of W = inverse_change^-1 form an adapted basis of Z^r;
-    scaling its first rank(C) columns by `divisors` gives c_basis (a basis
-    of C), and H is spanned by the remaining columns. coset_reps enumerates
+    scaling its first rank(C) columns by `divisors` gives a basis of C, and
+    H is spanned by the remaining columns. coset_reps enumerates
     Z^r / (C (+) H) as mixed-radix digit vectors mapped back through W, in
     lexicographic digit order, so the zero vector comes first.
     """
 
-    ambient_rank: int
     index: int
     divisors: tuple[int, ...]
     inverse_change: IntMatrix
-    c_basis: IntMatrix
     coset_reps: tuple[tuple[int, ...], ...]
 
     def digits(self, v) -> tuple[int, ...]:
@@ -549,13 +537,10 @@ def finite_index_split(ambient_rank: int, C: LatticeSubgroup) -> IndexSplit:
     k = C.rank
     if k == 0:
         # C trivial: A_1 = Z^r itself, index 1
-        W = IntMatrix.identity(ambient_rank)
         return IndexSplit(
-            ambient_rank=ambient_rank,
             index=1,
             divisors=(),
-            inverse_change=W,
-            c_basis=IntMatrix.zeros(ambient_rank, 0),
+            inverse_change=IntMatrix.identity(ambient_rank),
             coset_reps=((0,) * ambient_rank,),
         )
     dec = snf(C.basis)
@@ -563,20 +548,15 @@ def finite_index_split(ambient_rank: int, C: LatticeSubgroup) -> IndexSplit:
     if any(d == 0 for d in divisors):
         raise InvalidGroup("independent basis columns produced a zero invariant")
     W = unimodular_inverse(dec.U)
-    c_cols = [
-        tuple(divisors[i] * x for x in W.column(i)) for i in range(k)
-    ]
     index = prod(divisors)
     reps = []
     for digits in itertools.product(*(range(d) for d in divisors)):
         y = list(digits) + [0] * (ambient_rank - k)
         reps.append(W.matvec(y))
     return IndexSplit(
-        ambient_rank=ambient_rank,
         index=index,
         divisors=divisors,
         inverse_change=dec.U,
-        c_basis=IntMatrix.from_columns(c_cols, rows=ambient_rank),
         coset_reps=tuple(reps),
     )
 

@@ -37,9 +37,9 @@ from .groups import (
     DEFAULT_MAX_ORDER,
     FiniteGroup,
     GroupHom,
-    Subgroup,
     abelian_invariants,
     derived_length,
+    derived_subgroup,
     direct_product,
     frattini,
     identity_hom,
@@ -59,7 +59,7 @@ from .words import (
     InducedHom,
     build_generalized_central_product,
     central_product_error,
-    identified_direct_quotient,
+    glued_product,
     reduce,
     word_label,
 )
@@ -79,13 +79,23 @@ def derived_depth(G: FiniteGroup, g: int) -> int:
     return depth
 
 
-def _derived2(G: FiniteGroup) -> Subgroup:
-    terms = series(G, "derived").terms
-    return terms[1] if len(terms) > 1 else terms[0]
+def _hom_data(factors, maps, target: FiniteGroup) -> dict:
+    """Where each factor map sends its factor's generators, as labels."""
+    return {
+        f"factor_{i}": [[f.label(g), target.label(m.apply(g))] for g in f.generator_indices]
+        for i, (f, m) in enumerate(zip(factors, maps))
+    }
 
 
-def _gen_images(G: FiniteGroup, apply, label) -> list:
-    return [[G.label(g), label(apply(g))] for g in G.generator_indices]
+def _injective_check(name: str, factors, maps, part: str) -> Check:
+    """Check, by an exhaustive scan, that each map is injective on its
+    factor; `part` names a factor in the evidence."""
+    collisions = []
+    for i, (f, m) in enumerate(zip(factors, maps)):
+        ok, pair = oracle_mod.exhaustive_injectivity(m, whole_group(f))
+        if not ok:
+            collisions.append(f"{part} {i}: {f.label(pair[0])} and {f.label(pair[1])} collide")
+    return Check(name, not collisions, "; ".join(collisions) or f"exhaustive scan per {part}")
 
 
 # ------------------------------------------------------------------ checks
@@ -139,8 +149,8 @@ def not_perfect_certificate(
     if C_B.is_whole():
         raise NotProperSubgroup("the amalgam copy in the second factor is not proper")
 
-    der_a = _derived2(A)
-    der_b = _derived2(B)
+    der_a = derived_subgroup(A)
+    der_b = derived_subgroup(B)
     N_A = normal_closure(A, list(C_A.elements) + list(der_a.elements))
     N_B = normal_closure(B, list(C_B.elements) + list(der_b.elements))
     QA, proj_a = quotient_group(A, N_A)
@@ -195,10 +205,7 @@ def not_perfect_certificate(
             "left_quotient_order": QA.order,
             "right_quotient_order": QB.order,
         },
-        hom_data={
-            "factor_0": _gen_images(A, map_a.apply, D_fin.label),
-            "factor_1": _gen_images(B, map_b.apply, D_fin.label),
-        },
+        hom_data=_hom_data((A, B), (map_a, map_b), D_fin),
         checks=checks,
     )
 
@@ -240,7 +247,7 @@ def cyclic_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDE
     Bbar, proj_b = quotient_group(B, series(B, "derived").terms[n])
     abar = proj_a.apply(a)
     bbar = proj_b.apply(b)
-    D, (mu_a, mu_b) = identified_direct_quotient(Abar, Bbar, abar, bbar, max_order)
+    D, (mu_a, mu_b) = glued_product([Abar, Bbar], [(abar, bbar)], max_order)
     map_a = proj_a.then(mu_a)
     map_b = proj_b.then(mu_b)
     hom = InducedHom(spec, D, [map_a, map_b])
@@ -262,10 +269,7 @@ def cyclic_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDE
             "left_quotient_order": Abar.order,
             "right_quotient_order": Bbar.order,
         },
-        hom_data={
-            "factor_0": _gen_images(A, map_a.apply, D.label),
-            "factor_1": _gen_images(B, map_b.apply, D.label),
-        },
+        hom_data=_hom_data((A, B), hom.maps, D),
         checks=[
             Check("separates_C", separates, evidence),
             Check(
@@ -274,10 +278,7 @@ def cyclic_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORDE
                 "induced map verified on every amalgam element",
             ),
         ],
-        claims=[
-            "the kernel meets the amalgam trivially only when separates_C holds",
-            "the kernel is a free group (classical subgroup theory, not machine-verified)",
-        ],
+        claims=["the kernel meets the amalgam trivially only when separates_C holds"],
         target=D,
         hom=hom,
     )
@@ -298,27 +299,13 @@ def central_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORD
     factors, C = spec.factors, spec.amalgam
     S, mus = build_generalized_central_product(factors, C, spec.embeddings, max_order)
     hom = InducedHom(spec, S, mus)
-
-    inj_evidence = []
-    all_inj = True
-    for i, mu in enumerate(mus):
-        ok, pair = oracle_mod.exhaustive_injectivity(mu, whole_group(factors[i]))
-        all_inj = all_inj and ok
-        if not ok:
-            inj_evidence.append(
-                f"factor {i}: {factors[i].label(pair[0])} and {factors[i].label(pair[1])} collide"
-            )
     solvable = is_solvable(S)
     order_product = 1
     for f in factors:
         order_product *= f.order
     expected = order_product // C.order ** (len(factors) - 1)
     checks = [
-        Check(
-            "mu_injective_on_factors",
-            all_inj,
-            "; ".join(inj_evidence) if inj_evidence else "exhaustive scan per factor",
-        ),
+        _injective_check("mu_injective_on_factors", factors, mus, "factor"),
         Check(
             "S_solvable",
             solvable,
@@ -336,13 +323,11 @@ def central_amalgam_quotient(spec: AmalgamSpec, max_order: int = DEFAULT_MAX_ORD
             "order": S.order,
             "derived_length": derived_length(S) if solvable else None,
         },
-        hom_data={
-            f"factor_{i}": _gen_images(factors[i], mus[i].apply, S.label)
-            for i in range(len(factors))
-        },
+        hom_data=_hom_data(factors, mus, S),
         checks=checks,
         claims=[
-            "the kernel of the induced map is free, making the amalgam (solvable)-by-free (not machine-verified)"
+            "the kernel of the induced map is free, making the amalgam "
+            "free-by-(finite solvable) (not machine-verified)"
         ],
         target=S,
         hom=hom,
@@ -369,18 +354,9 @@ def double_retraction(spec: AmalgamSpec) -> Certificate:
     _admit(spec, _double_check)
     factors = spec.factors
     A0 = factors[0]
-    ident = identity_hom(A0)
-    psi = InducedHom(spec, A0, [ident] * len(factors))
+    psi = InducedHom(spec, A0, [identity_hom(A0)] * len(factors))
 
     retract = all(psi.apply_word([(0, x)]) == x for x in A0.elements())
-    inj_all = True
-    inj_evidence = []
-    for i, f in enumerate(factors):
-        restricted = GroupHom(f, A0, tuple(psi.apply_word([(i, y)]) for y in f.elements()))
-        ok, pair = oracle_mod.exhaustive_injectivity(restricted, whole_group(f))
-        inj_all = inj_all and ok
-        if not ok:
-            inj_evidence.append(f"copy {i}: {f.label(pair[0])} vs {f.label(pair[1])}")
     kernel_ok = True
     nontrivial_kernel_words = 0
     for i in range(1, len(factors)):
@@ -398,17 +374,10 @@ def double_retraction(spec: AmalgamSpec) -> Certificate:
             "derived_length": derived_length(A0) if solvable else None,
             "copies": len(factors),
         },
-        hom_data={
-            f"factor_{i}": _gen_images(factors[i], ident.apply, A0.label)
-            for i in range(len(factors))
-        },
+        hom_data=_hom_data(factors, psi.maps, A0),
         checks=[
             Check("retraction", retract, "identity on the first copy, exhaustively"),
-            Check(
-                "injective_on_each_factor",
-                inj_all,
-                "; ".join(inj_evidence) if inj_evidence else "exhaustive scan per copy",
-            ),
+            _injective_check("injective_on_each_factor", factors, psi.maps, "copy"),
             Check(
                 "kernel_generators",
                 kernel_ok,

@@ -278,30 +278,16 @@ class InducedHom:
         self._check_agreement()
 
     def _check_agreement(self):
-        spec = self.spec
-        C = spec.amalgam
-        if isinstance(C, FiniteGroup):
-            for c in C.elements():
-                imgs = {
-                    self.maps[i].apply(spec.adapters[i].embed_c(c))
-                    for i in range(len(spec.factors))
-                }
-                if len(imgs) != 1:
-                    raise DisagreeOnAmalgam(
-                        f"factor maps disagree on amalgam element {C.label(c)}"
-                    )
-        else:
-            k = C.free_rank
-            for j in range(k):
-                basis = tuple(1 if t == j else 0 for t in range(k))
-                imgs = {
-                    self.maps[i].apply(spec.adapters[i].embed_c(basis))
-                    for i in range(len(spec.factors))
-                }
-                if len(imgs) != 1:
-                    raise DisagreeOnAmalgam(
-                        f"factor maps disagree on amalgam basis vector {j}"
-                    )
+        """Every factor map sends each element of a finite C, or each basis
+        vector of a free abelian C, to one image."""
+        C = self.spec.amalgam
+        finite = isinstance(C, FiniteGroup)
+        k = 0 if finite else C.free_rank
+        basis = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+        for j, c in enumerate(C.elements() if finite else basis):
+            if len({m.apply(ad.embed_c(c)) for m, ad in zip(self.maps, self.spec.adapters)}) != 1:
+                what = f"element {C.label(c)}" if finite else f"basis vector {j}"
+                raise DisagreeOnAmalgam(f"factor maps disagree on amalgam {what}")
 
     def apply_word(self, word) -> int:
         out = self.target.identity
@@ -381,41 +367,27 @@ def build_generalized_central_product(
     The embeddings must land in the centers of their factors. Returns the
     quotient S together with the induced maps mu_i: factor_i -> S.
     """
-    factors = list(factors)
-    embeddings = list(embeddings)
     if error := central_product_error(factors, C, embeddings):
         raise error
+    identified = [tuple(e.apply(c) for e in embeddings) for c in C.elements() if c != C.identity]
+    return glued_product(factors, identified, max_order)
+
+
+def glued_product(
+    factors, identified, max_order: int = DEFAULT_MAX_ORDER
+) -> tuple[FiniteGroup, list[GroupHom]]:
+    """The direct product of the factors glued along `identified`.
+
+    Each entry of `identified` holds one element per factor, and all of
+    them are made equal: the quotient is by the normal closure of every
+    x_i * x_j^-1 with i < j, computed by conjugation with no assumption that
+    these are central. Returns the quotient with the induced maps
+    mu_i: factor_i -> quotient.
+    """
     P, injs, _ = direct_product(factors, max_order)
     seeds = []
-    for c in C.elements():
-        if c == C.identity:
-            continue
-        for i in range(len(factors)):
-            for j in range(len(factors)):
-                if i >= j:
-                    continue
-                a = injs[i].apply(embeddings[i].apply(c))
-                b = injs[j].apply(embeddings[j].apply(c))
-                seeds.append(P.mul(a, P.inv(b)))
-    N = normal_closure(P, seeds)
-    S, proj = quotient_group(P, N)
-    mus = [inj.then(proj) for inj in injs]
-    return S, mus
-
-
-def identified_direct_quotient(
-    X: FiniteGroup,
-    Y: FiniteGroup,
-    x: int,
-    y: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> tuple[FiniteGroup, list[GroupHom]]:
-    """(X x Y) / ncl((x, y^-1)), with the induced maps from X and Y.
-
-    Implemented literally: the normal closure is computed by conjugation,
-    with no assumption that (x, y^-1) is central.
-    """
-    P, injs, _ = direct_product([X, Y], max_order)
-    seed = P.mul(injs[0].apply(x), P.inv(injs[1].apply(y)))
-    D, proj = quotient_group(P, normal_closure(P, [seed]))
-    return D, [inj.then(proj) for inj in injs]
+    for xs in identified:
+        imgs = [inj.apply(x) for inj, x in zip(injs, xs)]
+        seeds += [P.mul(a, P.inv(b)) for i, a in enumerate(imgs) for b in imgs[i + 1 :]]
+    S, proj = quotient_group(P, normal_closure(P, seeds))
+    return S, [inj.then(proj) for inj in injs]

@@ -278,6 +278,8 @@ GRAMMAR_ERRORS = [
      21, "a factor group name"),
     (4, "amalgam G = S3, S3 over C3 via ea, via", "expected an embedding name, found 'via'", 36,
      "an embedding name"),
+    (4, "amalgam G = S3, S3 over via ea, eb", "expected the amalgam group name, found 'via'",
+     25, "the amalgam group name"),
     (0, "group over = cyclic 2", "expected a group name, found 'over'", 7, "a group name"),
     (2, "embed via : C3 -> S3 { g -> (1 2 3) }", "expected an embedding name, found 'via'", 7,
      "an embedding name"),

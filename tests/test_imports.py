@@ -1,6 +1,8 @@
-"""Every module in the package uses each name it imports."""
+"""Every module in the package uses each name it imports, and every private
+top-level helper is used somewhere in the package."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -41,3 +43,41 @@ def test_attribute_access_and_annotations_count_as_uses():
         "    return json.dumps(x)\n"
     )
     assert unused_imports(source) == []
+
+
+def _references(tree) -> list:
+    return [
+        getattr(node, "id", None) or node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """(module, name) for each private top-level function or class that no
+    code in the package reads outside the helper's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = collections.Counter(ref for tree in trees.values() for ref in _references(tree))
+    return [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and uses[node.name] == _references(node).count(node.name)
+    ]
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_unreferenced_private_helper_is_caught():
+    sources = {
+        "a.py": "def _left_behind(n):\n    return _left_behind(n - 1)\n\n"
+        "class _Used:\n    pass\n",
+        "b.py": "from a import _Used\n\nx = _Used()\n",
+    }
+    assert unreferenced_private_defs(sources) == [("a.py", "_left_behind")]

@@ -26,6 +26,7 @@ from amalgam.groups import (
 )
 from amalgam.lattice import FGAbelian, IntMatrix
 from amalgam.witness import (
+    _injective_check,
     abelian_factor_quotient,
     central_amalgam_quotient,
     cyclic_amalgam_quotient,
@@ -221,6 +222,17 @@ def test_cyclic_c6_squares_separate():
     assert cert.quotient_description["right_depth"] == 1
 
 
+def test_cyclic_claims_no_free_kernel_on_s3_pair_over_a_transposition():
+    """S3 *_{C2} S3 glued along (1 2): the quotient has order 2 and kills
+    (1 2 3), which has order 3, so the kernel is not free."""
+    cert = cyclic_amalgam_quotient(over_cyclic([S3, S3], 2, [T12, T12]))
+    assert cert.status == "ok"
+    assert cert.quotient_description["order"] == 2
+    for i in range(2):
+        assert cert.hom.apply_word([(i, T123)]) == cert.target.identity
+    assert cert.claims == ["the kernel meets the amalgam trivially only when separates_C holds"]
+
+
 def test_cyclic_rejects_order_mismatch():
     """The generator of C4 goes to -1 (order 2) in Q8 and to a generator of C4."""
     C4 = cyclic_group(4)
@@ -273,6 +285,22 @@ def test_central_triple_quaternion_order():
     assert cert.status == "ok"
     assert cert.quotient_description["order"] == 128
     assert cert.check("order_count").passed
+
+
+def test_central_claims_a_free_by_solvable_amalgam():
+    (claim,) = central_amalgam_quotient(q8_amalgam()).claims
+    assert "free-by-(finite solvable)" in claim
+    assert "(solvable)-by-free" not in claim
+
+
+def test_injectivity_checks_name_each_colliding_factor():
+    odd = tuple(int(S3.element_order(x) == 2) for x in S3.elements())
+    sign = GroupHom(S3, cyclic_group(2), odd)
+    check = _injective_check("injective", [Q8, S3], [identity_hom(Q8), sign], "copy")
+    assert not check.passed
+    assert check.evidence == "copy 1: () and (1 2 3) collide"
+    check = _injective_check("injective", [Q8], [identity_hom(Q8)], "factor")
+    assert check.passed and check.evidence == "exhaustive scan per factor"
 
 
 def test_central_rejects_noncentral_image():

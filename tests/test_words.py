@@ -39,7 +39,7 @@ from amalgam.words import (
     NormalForm,
     build_generalized_central_product,
     check_word,
-    identified_direct_quotient,
+    glued_product,
     reduce,
     validate_spec,
     _AbelianAdapter,
@@ -713,7 +713,7 @@ def test_central_product_rejects_noncentral():
 def test_identified_quotient_q8():
     Q = quaternion_group()
     m = by_label(Q, "-1")
-    D, (mu, nu) = identified_direct_quotient(Q, Q, m, m)
+    D, (mu, nu) = glued_product([Q, Q], [(m, m)])
     assert D.order == 32
     assert mu.source == Q and nu.source == Q
     assert mu.is_injective() and nu.is_injective()
@@ -724,7 +724,7 @@ def test_identified_quotient_q8():
 def test_identified_quotient_s3():
     S = symmetric_group(3)
     rot = by_label(S, "(1 2 3)")
-    D, (mu, nu) = identified_direct_quotient(S, S, rot, rot)
+    D, (mu, nu) = glued_product([S, S], [(rot, rot)])
     # conjugates of (rot, rot^-1) already generate A3 x A3
     assert D.order == 4
     assert abelian_invariants(D) == [2, 2]
