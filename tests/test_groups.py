@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -1045,3 +1046,80 @@ def test_subgroup_validation():
         subgroup(G, [0, x])  # missing x^2, not closed
     ok = subgroup(G, [0, x, G.mul(x, x)])
     assert ok.order == 3
+
+
+# -- pinned permutation-group outputs ----------------------------------------
+# Each row pins one group_from_permutations build: the sha256 of its table
+# bytes, of its labels joined by newlines, and its two generator tuples. A
+# faster closure must number the elements, fill the table and format the
+# labels exactly as these record.
+
+
+def _perms(degree, *elements):
+    return [perm_from_cycles(degree, cycles) for cycles in elements]
+
+
+PINNED_PERMUTATION_GROUPS = [
+    ("S1, no generators", lambda: group_from_permutations(1, []), 1,
+     "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+     "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d", (), ()),
+    ("S3", lambda: symmetric_group(3), 6,
+     "14f6afd17c08d733cd3182516110f0b1aef918187fdaa1ba7ee17b5c64d72c4d",
+     "a828604a173396bb74b68e59c75e24a3f7c146c320885d5256d6cf8103b84913", (1, 2), (1, 2)),
+    ("Q8 on 8 points",
+     lambda: group_from_permutations(
+         8, _perms(8, [(1, 3, 2, 4), (5, 7, 6, 8)], [(1, 5, 2, 6), (3, 8, 4, 7)])), 8,
+     "176e8e62eb0476db6842c0a6362496b18da11e61397d226fe8786113c2391b6a",
+     "6b87cbadd88327eaf120e6310fac4dba0d7abb63c68bea5143e3cb131c459fc9", (1, 2), (1, 2)),
+    ("A4", lambda: alternating_group(4), 12,
+     "d359ea505ec5421e4f7c423677b916c7624bad3635fa596afc6bf52673848fc9",
+     "f56e044145966fdf1296dcf3d02103570fda94e0c3b552f5d0d6479c69188f53", (1, 2), (1, 2)),
+    ("S4xS4 on 8 points",
+     lambda: group_from_permutations(
+         8, _perms(8, [(1, 2)], [(1, 2, 3, 4)], [(5, 6)], [(5, 6, 7, 8)])), 576,
+     "41df1597871a9b5f04aeddebe0c1a5ce52a0f931c9fa001737f41eacc927ac52",
+     "49da940dffaeedc1e6a2b6884b73dacfbb3a96c170964abc5038f6ca98b98a3e",
+     (1, 2, 3, 4), (1, 2, 3, 4)),
+    ("C4^3 on 12 points",
+     lambda: group_from_permutations(
+         12, _perms(12, [(1, 2, 3, 4)], [(5, 6, 7, 8)], [(9, 10, 11, 12)])), 64,
+     "d68b5296016459b09a91fab2d34a17d084f07ceaf6645047542b07be47594db3",
+     "e24778789512ef55f800e55a1dd84b97613e8f6b07f6aa81118f3f053bc06d05", (1, 2, 3), (1, 2, 3)),
+    ("identity and a duplicate among the generators",
+     lambda: group_from_permutations(4, _perms(4, [(1, 2)], [], [(1, 2, 3, 4)], [(1, 2)])), 24,
+     "7e2c052c49dda99dbedc642009b68609aeddef7e6d4e016c66c4ebc49b3833ae",
+     "083c896f423e67cdc162c39677d48200386f1a6bec07ca85a8ad99850bdcce81", (1, 2), (1, 2)),
+    ("1000-cycle", lambda: group_from_permutations(1000, _perms(1000, [tuple(range(1, 1001))])),
+     1000,
+     "8ffd7deb996ed327354c13f81574840dda00474a7e85ac45a4bcc6b53d811e84",
+     "2957449f92b55c1abe1b35d1c4de8cc7f653c5baa448b3d285a51230b7a538d7", (1,), (1,)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, order, table_sha, labels_sha, gens, small",
+    [row[1:] for row in PINNED_PERMUTATION_GROUPS],
+    ids=[row[0] for row in PINNED_PERMUTATION_GROUPS],
+)
+def test_permutation_group_outputs_are_pinned(build, order, table_sha, labels_sha, gens, small):
+    G = build()
+    assert G.order == order
+    assert hashlib.sha256(G.table.tobytes()).hexdigest() == table_sha
+    assert hashlib.sha256("\n".join(G.labels).encode()).hexdigest() == labels_sha
+    assert (G.generator_indices, G.small_generators) == (gens, small)
+    assert [G.label(x) for x in G.elements()] == list(G.labels)
+
+
+def test_small_permutation_group_labels_are_pinned():
+    assert symmetric_group(3).labels == ("()", "(1 2)", "(1 2 3)", "(2 3)", "(1 3)", "(1 3 2)")
+    assert alternating_group(4).labels == (
+        "()", "(1 2 3)", "(2 3 4)", "(1 3 2)", "(1 2)(3 4)", "(1 3)(2 4)",
+        "(2 4 3)", "(1 3 4)", "(1 2 4)", "(1 4 2)", "(1 4 3)", "(1 4)(2 3)",
+    )
+
+
+def test_permutation_closure_cap_message_is_pinned():
+    with pytest.raises(ClosureCapExceeded) as exc:
+        group_from_permutations(4, _perms(4, [(1, 2)], [(1, 2, 3, 4)]), max_order=23)
+    assert str(exc.value) == "closure exceeded cap 23"
+    assert exc.value.details == {"cap": 23}
