@@ -44,6 +44,7 @@ from .groups import (
     group_from_permutations,
     hom_from_generator_images,
     perm_from_cycles,
+    permutation_index,
 )
 from .lattice import FGAbelian, IntMatrix
 from .words import AmalgamSpec
@@ -375,6 +376,7 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
     if kind == "abelian":
         cur.expect("[")
         divisors = []
+        misplaced = None  # the first torsion divisor after a free factor
         # divisors are comma-separated, and a comma may end the list
         while not cur.accept("]"):
             tok = cur.next("a divisor or ']'")
@@ -383,19 +385,16 @@ def _parse_group(cur: _Cursor) -> GroupDecl:
             d = int(tok.text)
             if d != 0 and d < 2:
                 raise _error_at(tok, f"divisor {d} must be 0 (a free factor) or at least 2")
+            if d and 0 in divisors and misplaced is None:
+                misplaced = tok
             divisors.append(d)
             tok = cur.next("',' or ']'")
             if tok.text == "]":
                 break
             if tok.text != ",":
                 raise _found(tok, "',' or ']'", "',' or ']'")
-        for i in range(1, len(divisors)):
-            if divisors[i] != 0 and divisors[i - 1] == 0:
-                raise ParseError(
-                    "torsion divisors must precede free factors (0 entries)",
-                    cur.line,
-                    1,
-                )
+        if misplaced is not None:
+            raise _error_at(misplaced, "torsion divisors must precede free factors (0 entries)")
         cur.require_end()
         return GroupDecl(name, "abelian", divisors=tuple(divisors))
     raise _error_at(
@@ -631,12 +630,11 @@ def _perm_pow(p, k: int):
 
 class _Lookups:
     """Tables that live for one resolve call: declarations by name, atom
-    permutations, and element indices in each permutation group."""
+    permutations, and element indices of evaluated expressions."""
 
     def __init__(self, sf: SpecFile):
         self.decls = {d.name: d for d in sf.declarations}
         self._perms = {}  # (degree, cycles, power) -> permutation
-        self._labels = {}  # group name -> {cycle label: element index}
         self._exprs = {}  # (group name, ElementExpr) -> element index
 
     def perm(self, degree: int, cycles: tuple, power: int = 1):
@@ -650,12 +648,9 @@ class _Lookups:
         return p
 
     def index(self, G: FiniteGroup, perm) -> int:
-        labels = self._labels.get(G.name)
-        if labels is None:
-            labels = self._labels[G.name] = {s: i for i, s in enumerate(G.labels)}
-        label = cycle_label(perm)
-        idx = labels.get(label)
+        idx = permutation_index(G, perm)
         if idx is None:
+            label = cycle_label(perm)
             raise ResolutionError(
                 f"permutation {label} is not an element of {G.name or 'the group'}",
                 name=label,

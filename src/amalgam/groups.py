@@ -20,9 +20,8 @@ them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import prod
 
 import numpy as np
@@ -151,11 +150,15 @@ class FiniteGroup:
         if reached < n:
             raise InvalidGroup("generator_indices do not generate the group")
 
-        if labels is not None:
+        self._labels = None  # every label, once formatted or given
+        self._label_of = None  # element -> label, for labels formatted on first use
+        if callable(labels):
+            self._label_of = labels
+        elif labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
                 raise InvalidGroup(f"{len(labels)} labels for {n} elements")
-        self.labels = labels
+            self._labels = labels
         self.name = name
         self._series = {}  # kind -> SeriesChain, filled by series()
 
@@ -198,9 +201,24 @@ class FiniteGroup:
         return range(self.order)
 
     def label(self, a: int) -> str:
-        if self.labels is not None:
-            return self.labels[a]
+        if self._labels is not None:
+            return self._labels[a]
+        if self._label_of is not None:
+            return self._label_of(a)
         return str(a)
+
+    @property
+    def labels(self) -> tuple[str, ...] | None:
+        """Every element's label in index order; None for a group built without."""
+        if self._labels is None and self._label_of is not None:
+            self._labels = tuple(map(self._label_of, range(self.order)))
+        return self._labels
+
+    def _labeler(self):
+        """label as a function that keeps nothing of this group's table."""
+        if self._labels is not None:
+            return self._labels.__getitem__
+        return self._label_of or str
 
     def __eq__(self, other):
         return isinstance(other, FiniteGroup) and np.array_equal(self.table, other.table)
@@ -564,6 +582,18 @@ def hom_from_generator_images(
     return GroupHom(source, target, tuple(images[x] for x in source.elements()))
 
 
+def _coset_label(label_of, reps, x: int) -> str:
+    return f"[{label_of(reps[x])}]"
+
+
+def _product_label(factor_labels, sizes, x: int) -> str:
+    digits = []
+    for s in reversed(sizes):  # the first factor is the most significant digit
+        x, d = divmod(x, s)
+        digits.append(d)
+    return "(" + ",".join(f(d) for f, d in zip(factor_labels, reversed(digits))) + ")"
+
+
 def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     """G/N with the canonical projection. N must be normal.
 
@@ -594,7 +624,7 @@ def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, GroupHom]:
     Q = FiniteGroup(
         label[t[np.ix_(reps, reps)]],
         generator_indices=tuple(gen_imgs) if len(reps) > 1 else (),
-        labels=tuple(f"[{G.label(r)}]" for r in reps.tolist()),
+        labels=partial(_coset_label, G._labeler(), reps.tolist()),
         name=f"{G.name or G.order}/{N.order}",
     )
     proj = GroupHom(G, Q, tuple(label.tolist()))
@@ -620,10 +650,6 @@ def direct_product(
     for g in groups:
         m, s = table.shape[0], g.order
         table = (table[:, None, :, None] * s + g.table[None, :, None, :]).reshape(m * s, m * s)
-    labels = tuple(
-        "(" + ",".join(tup) + ")"
-        for tup in itertools.product(*[[g.label(x) for x in g.elements()] for g in groups])
-    )
     base = sum(w * g.identity for w, g in zip(weights, groups))
     gens = [
         base + w * (gen - g.identity)
@@ -633,7 +659,7 @@ def direct_product(
     P = FiniteGroup(
         table,
         generator_indices=tuple(dict.fromkeys(gens)),
-        labels=labels,
+        labels=partial(_product_label, tuple(g._labeler() for g in groups), tuple(sizes)),
         name="x".join(g.name or str(g.order) for g in groups),
     )
     everything = np.arange(n)
@@ -739,49 +765,122 @@ def _perm_mul(p, q):
     return tuple(p[x] for x in q)
 
 
+def _point_dtype(degree: int):
+    """The narrowest unsigned integer type that holds every point below degree."""
+    return np.uint8 if degree <= 1 << 8 else np.uint16 if degree <= 1 << 16 else np.uint32
+
+
+class _Permutations:
+    """The elements of a permutation group, kept by the group they build.
+
+    elements[x] is the bytes of element x's images, in the point type
+    `dtype`, and index maps those bytes back to x. They format a label on
+    first use and find the index of a permutation without formatting any.
+    """
+
+    __slots__ = ("elements", "index", "dtype", "degree")
+
+    def __init__(self, index: dict, dtype, degree: int):
+        self.elements = list(index)
+        self.index = index
+        self.dtype = dtype
+        self.degree = degree
+
+    def __call__(self, x: int) -> str:
+        return cycle_label(np.frombuffer(self.elements[x], dtype=self.dtype).tolist())
+
+    def find(self, perm) -> int | None:
+        if len(perm) != self.degree:
+            return None
+        return self.index.get(np.asarray(perm, dtype=self.dtype).tobytes())
+
+
+def permutation_index(G: FiniteGroup, perm) -> int | None:
+    """The index of perm in G, a group built by group_from_permutations, or
+    None when perm is not one of its elements."""
+    perms = G._label_of
+    if not isinstance(perms, _Permutations):
+        raise InvalidGroup(f"{G!r} was not built from permutations")
+    return perms.find(perm)
+
+
 def group_from_permutations(
     degree: int, generators, max_order: int = DEFAULT_MAX_ORDER, name: str = ""
 ) -> FiniteGroup:
-    """Closure of the given permutations under composition, as a table group."""
+    """Closure of the given permutations under composition, as a table group.
+
+    The closure runs one breadth-first layer at a time on arrays of images.
+    Each layer is composed with every generator in one gather, and the
+    products are numbered in (element, generator) order by one lookup of their
+    bytes each, which is the numbering of a search one element at a time.
+    Element y is first reached as parent * generator, so column y of the
+    table is column parent followed by right multiplication by that
+    generator; the columns are filled one layer at a time. Labels are
+    formatted on first use.
+    """
     if degree < 1:
         raise NotAPermutation(f"degree {degree} must be positive")
-    gens = []
+    gens, points = [], list(range(degree))
     for g in generators:
         g = tuple(int(x) for x in g)
-        if len(g) != degree or sorted(g) != list(range(degree)):
+        if len(g) != degree or sorted(g) != points:
             raise NotAPermutation(f"{g} is not a permutation of degree {degree}")
         gens.append(g)
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    # BFS; each new element is recorded as (parent, generator) with
-    # elems[y] = elems[parent] * gens[generator]
-    parent, via = [0], [0]
-    right = [[] for _ in gens]  # right[j][x] = index of elems[x] * gens[j]
-    for x, p in enumerate(elems):
-        for j, g in enumerate(gens):
-            y = _perm_mul(p, g)
-            if y not in index:
-                if len(elems) >= max_order:
-                    raise ClosureCapExceeded(
-                        f"closure exceeded cap {max_order}", cap=max_order
-                    )
-                index[y] = len(elems)
-                elems.append(y)
-                parent.append(x)
-                via.append(j)
-            right[j].append(index[y])
-    n = len(elems)
+    m = len(gens)
+    ident = np.array(points, dtype=_point_dtype(degree))
+    # gens[j] occupies columns j * degree to (j + 1) * degree - 1 of a
+    # layer's products, and np.void items of that width are its elements
+    flat_gens = np.array(gens, dtype=np.intp).ravel()
+    key = np.dtype(f"V{ident.nbytes}")
+    index = {ident.tobytes(): 0}  # element bytes -> index, in index order
+    right = []  # right[x * m + j] is the index of element x * gens[j]
+    # element y > 0 is first reached as right[born[y]], so it is element
+    # born[y] // m times gens[born[y] % m]
+    born = [0]
+    ends = [1]  # one past the last index of each layer
+    layer = ident[None]
+    chunk = max(1, _ROW_BLOCK_CELLS // max(1, m * degree))  # layer rows per gather
+    n = 1
+    while True:
+        grown = []
+        for lo in range(0, len(layer), chunk):
+            products = layer[lo : lo + chunk].take(flat_gens, axis=1)
+            for k in products.view(key).ravel().tolist():
+                y = index.setdefault(k, n)
+                if y == n:
+                    if n >= max_order:
+                        raise ClosureCapExceeded(
+                            f"closure exceeded cap {max_order}", cap=max_order
+                        )
+                    n += 1
+                    grown.append(k)
+                    born.append(len(right))
+                right.append(y)
+        if not grown:
+            break
+        layer = np.frombuffer(b"".join(grown), dtype=ident.dtype).reshape(-1, degree)
+        ends.append(n)
     dtype = _index_dtype(n)
-    right = [np.array(col, dtype=dtype) for col in right]
+    # right_by_gen[j * n + x] is the index of element x * gens[j]
+    right_by_gen = np.array(right, dtype=dtype).reshape(n, m).T.ravel()
+    parent, via = np.divmod(born, max(m, 1))
+    offsets = np.multiply(via, n, dtype=_index_dtype(m * n))[:, None]
     # row y of `cols` is column y of the table: x * y = (x * parent) * gen
     cols = np.empty((n, n), dtype=dtype)
     cols[0] = np.arange(n)
-    for y in range(1, n):
-        cols[y] = right[via[y]][cols[parent[y]]]
-    labels = tuple(cycle_label(p) for p in elems)
-    gen_idx = tuple(dict.fromkeys(index[g] for g in gens if g != ident))
-    return FiniteGroup(cols.T, generator_indices=gen_idx or None, labels=labels, name=name)
+    step = max(1, _ROW_BLOCK_CELLS // n)
+    for lo, hi in zip(ends, ends[1:]):
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            cols[a:b] = right_by_gen.take(cols[parent[a:b]] + offsets[a:b])
+    # the identity's products are the generators; the identity itself is index 0
+    gen_idx = tuple(dict.fromkeys(y for y in right[:m] if y))
+    return FiniteGroup(
+        cols.T,
+        generator_indices=gen_idx or None,
+        labels=_Permutations(index, ident.dtype, degree),
+        name=name,
+    )
 
 
 def cyclic_group(n: int, name: str = "") -> FiniteGroup:
@@ -794,9 +893,12 @@ def cyclic_group(n: int, name: str = "") -> FiniteGroup:
     ar = np.arange(n, dtype=_index_dtype(n))
     table = np.add.outer(ar, ar)  # below 2 * DEFAULT_MAX_ORDER, so no sum wraps
     np.remainder(table, n, out=table)
-    labels = tuple("e" if i == 0 else ("g" if i == 1 else f"g^{i}") for i in range(n))
     gens = (1,) if n > 1 else None
-    return FiniteGroup(table, generator_indices=gens, labels=labels, name=name or f"C{n}")
+    return FiniteGroup(table, generator_indices=gens, labels=_power_label, name=name or f"C{n}")
+
+
+def _power_label(i: int) -> str:
+    return "e" if i == 0 else ("g" if i == 1 else f"g^{i}")
 
 
 def dihedral_group(n: int, name: str = "") -> FiniteGroup:

@@ -174,37 +174,43 @@ def hnf(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     and zero columns are pushed to the right. The column lattice of H equals
     that of M, so H is a canonical basis for it.
     """
-    r, n = M.rows, M.cols
     h = M.to_rows()
+    u = _hnf_rows(h, M.cols)
+    return IntMatrix.from_rows(h) if M.rows else IntMatrix.zeros(0, M.cols), IntMatrix.from_rows(u)
+
+
+def _hnf_rows(h: list[list[int]], n: int) -> list[list[int]]:
+    """hnf on a list of rows of length n: turns h into H in place and
+    returns the rows of U."""
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     hu = h + u  # column operations act on H and U alike
 
     col = 0
-    for row in range(r):
+    for row in h:
         if col >= n:
             break
         while True:
             best = -1
             for j in range(col, n):
-                if h[row][j] != 0 and (best == -1 or abs(h[row][j]) < abs(h[row][best])):
+                if row[j] != 0 and (best == -1 or abs(row[j]) < abs(row[best])):
                     best = j
             if best == -1:
                 break
             _col_swap(hu, col, best)
-            others = [j for j in range(col + 1, n) if h[row][j] != 0]
+            others = [j for j in range(col + 1, n) if row[j] != 0]
             if not others:
                 break
             for j in others:
-                _col_addmul(hu, j, col, -(h[row][j] // h[row][col]))
-        if h[row][col] == 0:
+                _col_addmul(hu, j, col, -(row[j] // row[col]))
+        if row[col] == 0:
             continue
-        if h[row][col] < 0:
+        if row[col] < 0:
             for x in hu:
                 x[col] = -x[col]
         for j in range(col):
-            _col_addmul(hu, j, col, -(h[row][j] // h[row][col]))
+            _col_addmul(hu, j, col, -(row[j] // row[col]))
         col += 1
-    return IntMatrix.from_rows(h) if r else IntMatrix.zeros(0, n), IntMatrix.from_rows(u)
+    return u
 
 
 def _hnf_pivots(H: IntMatrix) -> list[tuple[int, int]]:
@@ -218,9 +224,9 @@ def _hnf_pivots(H: IntMatrix) -> list[tuple[int, int]]:
     return out
 
 
-def _sparse_columns(W: IntMatrix) -> list[list[tuple[int, int]]]:
-    """For each column of W, its nonzero entries as (row, value) pairs."""
-    return [[(i, x) for i, x in enumerate(W.column(k)) if x] for k in range(W.cols)]
+def _sparse_columns(w: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """For each column of the square rows w, its nonzero entries as (row, value) pairs."""
+    return [[(i, row[k]) for i, row in enumerate(w) if row[k]] for k in range(len(w))]
 
 
 @dataclass(frozen=True)
@@ -323,15 +329,18 @@ def snf(M: IntMatrix) -> SNFDecomposition:
             # Applying each W to the same rows of u (columns of v) keeps
             # u * M * v = a. A block of one row or column is left to the
             # pivot loop, whose gcd steps on it only shrink its entries.
-            H, W = hnf(IntMatrix.from_columns([row[t:] for row in a[t:]], rows=n - t))
+            block = a[t:]
+            h = [list(col) for col in zip(*(row[t:] for row in block))]  # B^T
+            w = _hnf_rows(h, r - t)
             old = u[t:]
-            for k, col in enumerate(_sparse_columns(W)):
-                a[t + k][t:] = H.column(k)
+            for k, col in enumerate(_sparse_columns(w)):
+                block[k][t:] = [x[k] for x in h]
                 u[t + k] = [sum(x * old[i][j] for i, x in col) for j in range(r)]
-            H, W = hnf(IntMatrix.from_rows([row[t:] for row in a[t:]]))
-            for k in range(r - t):
-                a[t + k][t:] = H.row(k)
-            cols = _sparse_columns(W)
+            h = [row[t:] for row in block]
+            w = _hnf_rows(h, n - t)
+            for row, hrow in zip(block, h):
+                row[t:] = hrow
+            cols = _sparse_columns(w)
             for row in v:
                 tail = row[t:]
                 row[t:] = [sum(x * tail[i] for i, x in col) for col in cols]
@@ -477,7 +486,11 @@ class FGAbelian:
 
     def mul(self, a, b) -> tuple[int, ...]:
         """a + b for canonical a and b, with its torsion coordinates reduced."""
-        return self.mod_torsion(tuple([x + y for x, y in zip(a, b, strict=True)]))
+        if len(a) != len(b):
+            # the error zip(a, b, strict=True) raised here before
+            side = "shorter" if len(b) < len(a) else "longer"
+            raise ValueError(f"zip() argument 2 is {side} than argument 1")
+        return self.mod_torsion(tuple(map(operator.add, a, b)))
 
     def relation_columns(self) -> list[tuple[int, ...]]:
         """Columns of Z^ngens that are identified with zero (the torsion)."""

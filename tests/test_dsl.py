@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amalgam import dsl, groups
 from amalgam.dsl import (
     MAX_PERM_DEGREE,
     MAX_WORD_SYLLABLES,
@@ -324,8 +325,10 @@ GRAMMAR_ERRORS = [
     (0, "group Z = cyclic 0", "order 0 must be positive", 11, ""),
     (0, "group Z = free-abelian -1", "rank -1 must be nonnegative", 11, ""),
     (0, "group A = abelian [1,2]", "divisor 1 must be 0 (a free factor) or at least 2", 20, ""),
-    (0, "group A = abelian [0,2]", "torsion divisors must precede free factors (0 entries)", 1,
+    (0, "group A = abelian [0,2]", "torsion divisors must precede free factors (0 entries)", 22,
      ""),
+    (0, "group A = abelian [2, 0, 3]", "torsion divisors must precede free factors (0 entries)",
+     26, ""),
     (0, "group A = dihedral 4", "unknown group kind 'dihedral'", 11,
      "perm, cyclic, free-abelian, or abelian"),
     (2, "embed ea : C3 -> S3 { g -> (1 2 3); g -> (1 2 3) }", "generator g1 mapped twice", 37,
@@ -498,6 +501,25 @@ def test_resolve_builds_the_permutation_group():
     assert isinstance(S3, FiniteGroup)
     assert S3.order == 6
     assert ctx.groups["C3"].order == 3
+
+
+def test_resolve_formats_no_labels(monkeypatch):
+    # labels are display-only: resolving finds permutations by their images
+    formatted = []
+
+    def spy(perm):
+        formatted.append(perm)
+        return "()"
+
+    monkeypatch.setattr(groups, "cycle_label", spy)
+    monkeypatch.setattr(dsl, "cycle_label", spy)
+    monkeypatch.setattr(FiniteGroup, "label", lambda G, a: formatted.append(a))
+    monkeypatch.setattr(FiniteGroup, "labels", property(lambda G: formatted.append(G)))
+    for path in sorted((Path(__file__).parent / "golden").glob("*.amg")):
+        text = path.read_text()
+        if path.name != "bad_point.amg":
+            resolve(parse(text))
+    assert formatted == []
 
 
 def test_resolve_keeps_nothing_alive_after_it_returns():

@@ -1,6 +1,10 @@
+import gc
 import hashlib
+import itertools
 import random
+import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from amalgam.groups import (
     maximal_subgroups,
     normal_closure,
     perm_from_cycles,
+    permutation_index,
     quaternion_group,
     quotient_group,
     series,
@@ -1123,3 +1128,61 @@ def test_permutation_closure_cap_message_is_pinned():
         group_from_permutations(4, _perms(4, [(1, 2)], [(1, 2, 3, 4)]), max_order=23)
     assert str(exc.value) == "closure exceeded cap 23"
     assert exc.value.details == {"cap": 23}
+
+
+
+# -- labels formatted on first use --------------------------------------------
+
+
+def _cycles(label):
+    return [tuple(map(int, c.split())) for c in re.findall(r"\(([^)]*)\)", label) if c]
+
+
+def test_permutation_index_finds_every_element_by_its_images():
+    G = symmetric_group(4)
+    for x in G.elements():
+        assert permutation_index(G, perm_from_cycles(4, _cycles(G.label(x)))) == x
+    A4 = alternating_group(4)
+    assert permutation_index(A4, perm_from_cycles(4, [(1, 2)])) is None
+    assert permutation_index(A4, perm_from_cycles(5, [(1, 2, 3)])) is None
+    with pytest.raises(InvalidGroup, match="not built from permutations"):
+        permutation_index(cyclic_group(4), (0, 1, 2, 3))
+
+
+def test_cyclic_labels():
+    assert cyclic_group(1).labels == ("e",)
+    assert cyclic_group(4).labels == ("e", "g", "g^2", "g^3")
+    assert cyclic_group(12).label(11) == "g^11"
+
+
+def test_direct_product_labels_are_the_factor_labels_in_mixed_radix():
+    factors = [symmetric_group(3), cyclic_group(4), quaternion_group(), FiniteGroup([[0, 1], [1, 0]])]
+    P = direct_product(factors)[0]
+    expected = tuple(
+        "(" + ",".join(t) + ")"
+        for t in itertools.product(*[[g.label(x) for x in g.elements()] for g in factors])
+    )
+    assert [P.label(x) for x in P.elements()] == list(expected)
+    assert P.labels == expected
+
+
+def _s4_by_klein_four_beside_s4():
+    """S4, S4/V4 and S4 x S4/V4, built the same way each time."""
+    G = symmetric_group(4)
+    V = normal_closure(G, [permutation_index(G, perm_from_cycles(4, [(1, 2), (3, 4)]))])
+    Q = quotient_group(G, V)[0]
+    return G, Q, direct_product([G, Q])[0]
+
+
+def test_deferred_labels_keep_no_parent_table():
+    G0, Q0, P0 = _s4_by_klein_four_beside_s4()
+    assert Q0.labels == (
+        "[()]", "[(1 2)]", "[(1 2 3 4)]", "[(2 3 4)]", "[(1 3 4)]", "[(1 3 4 2)]"
+    )
+    expected = tuple(f"({G0.label(a)},{Q0.label(b)})" for a in G0.elements() for b in Q0.elements())
+    G, Q, P = _s4_by_klein_four_beside_s4()
+    refs = [weakref.ref(G), weakref.ref(Q)]
+    del G, Q
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert P.labels == expected

@@ -619,3 +619,20 @@ def test_abelianization_redundant_relators():
     ab = abelianization_from_presentation(2, rows)
     assert ab.torsion == (6,)
     assert ab.free_rank == 0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((1, 2), (1,)), ((1,), (1, 2)), ((), (1,)), ([1, 2], (1, 2, 3)), ((1, 2, 3), ())],
+)
+def test_fgabelian_mul_rejects_unequal_lengths(a, b):
+    # mul adds canonical elements; a pair of unequal length is never truncated
+    with pytest.raises(ValueError, match=r"^zip\(\) argument 2 is (shorter|longer) than argument 1$"):
+        FGAbelian(1, (2,)).mul(a, b)
+
+
+def test_fgabelian_mul_adds_and_reduces_the_torsion():
+    G = FGAbelian(1, (2, 4))
+    assert G.mul((1, 3, 5), (1, 2, -7)) == (0, 1, -2)
+    assert G.mul([1, 3, 5], [1, 2, -7]) == (0, 1, -2)
+    assert FGAbelian(0).mul((), ()) == ()
