@@ -16,6 +16,13 @@ and inverses are read through a memoryview of the table, which yields Python
 ints without a copy. Closures grow one generator at a time: the span already
 reached is multiplied by the new generator, and only new elements by all of
 them.
+
+Permutation groups are closed one breadth-first layer at a time on arrays of
+images in the narrowest unsigned point type, with one gather per layer and
+one lookup of each product's bytes, and their tables are filled one layer at
+a time. Labels are display-only: the constructors here hand FiniteGroup a
+function that formats one label on first use, from the permutations or from
+the factors' labels, never from a parent's table.
 """
 
 from __future__ import annotations
@@ -59,7 +66,9 @@ class FiniteGroup:
     generate the whole group and default to every nonidentity element;
     small_generators is a generating set of at most log2(order) of them,
     chosen greedily in order. labels are display-only and never enter any
-    computation. Two groups are equal exactly when their tables are equal.
+    computation: a sequence of one string per element, or a function from an
+    element to its label, called on first use. Two groups are equal exactly
+    when their tables are equal.
 
     The entries must be in range and of a fixed-width integer type; floats,
     bools and integers too large for a machine integer raise InvalidGroup.
@@ -809,7 +818,8 @@ def group_from_permutations(
 ) -> FiniteGroup:
     """Closure of the given permutations under composition, as a table group.
 
-    The closure runs one breadth-first layer at a time on arrays of images.
+    The closure runs one breadth-first layer at a time on arrays of images
+    in the narrowest unsigned point type.
     Each layer is composed with every generator in one gather, and the
     products are numbered in (element, generator) order by one lookup of their
     bytes each, which is the numbering of a search one element at a time.
