@@ -38,7 +38,6 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    _perm_mul,
     cycle_label,
     cyclic_group,
     group_from_permutations,
@@ -604,6 +603,11 @@ class ResolvedSpec:
     embeds: dict = field(default_factory=dict)
     amalgams: dict = field(default_factory=dict)
     words: dict = field(default_factory=dict)  # name -> (amalgam name, word)
+
+
+def _perm_mul(p, q):
+    # (p*q)(x) = p(q(x))
+    return tuple(p[x] for x in q)
 
 
 def _invert(p):

@@ -46,6 +46,9 @@ DEFAULT_MAX_ORDER = 5000
 DEFAULT_LATTICE_CAP = 256
 # table validation reads the rows in blocks of about this many cells
 _ROW_BLOCK_CELLS = 1 << 17
+# permutation groups up to this order fill their tables in Python lists: a
+# few hundred cells cost less than the numpy calls of a fill by layers
+_LIST_FILL_ORDER = 32
 
 
 def _index_dtype(order: int):
@@ -769,11 +772,6 @@ def cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _perm_mul(p, q):
-    # (p*q)(x) = p(q(x))
-    return tuple(p[x] for x in q)
-
-
 def _point_dtype(degree: int):
     """The narrowest unsigned integer type that holds every point below degree."""
     return np.uint8 if degree <= 1 << 8 else np.uint16 if degree <= 1 << 16 else np.uint32
@@ -819,14 +817,13 @@ def group_from_permutations(
     """Closure of the given permutations under composition, as a table group.
 
     The closure runs one breadth-first layer at a time on arrays of images
-    in the narrowest unsigned point type.
-    Each layer is composed with every generator in one gather, and the
-    products are numbered in (element, generator) order by one lookup of their
-    bytes each, which is the numbering of a search one element at a time.
-    Element y is first reached as parent * generator, so column y of the
-    table is column parent followed by right multiplication by that
-    generator; the columns are filled one layer at a time. Labels are
-    formatted on first use.
+    in the narrowest unsigned point type. Each layer is composed with every
+    generator in one gather, and the products are numbered in (element,
+    generator) order by one lookup of their bytes each, which is the
+    numbering of a search one element at a time. Element y is first reached
+    as parent * generator, so column y of the table is column parent
+    followed by right multiplication by that generator; the columns are
+    filled one layer at a time. Labels are formatted on first use.
     """
     if degree < 1:
         raise NotAPermutation(f"degree {degree} must be positive")
@@ -871,18 +868,26 @@ def group_from_permutations(
         layer = np.frombuffer(b"".join(grown), dtype=ident.dtype).reshape(-1, degree)
         ends.append(n)
     dtype = _index_dtype(n)
-    # right_by_gen[j * n + x] is the index of element x * gens[j]
-    right_by_gen = np.array(right, dtype=dtype).reshape(n, m).T.ravel()
-    parent, via = np.divmod(born, max(m, 1))
-    offsets = np.multiply(via, n, dtype=_index_dtype(m * n))[:, None]
     # row y of `cols` is column y of the table: x * y = (x * parent) * gen
-    cols = np.empty((n, n), dtype=dtype)
-    cols[0] = np.arange(n)
-    step = max(1, _ROW_BLOCK_CELLS // n)
-    for lo, hi in zip(ends, ends[1:]):
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            cols[a:b] = right_by_gen.take(cols[parent[a:b]] + offsets[a:b])
+    if n <= _LIST_FILL_ORDER:
+        by_gen = [right[j::m] for j in range(m)]
+        cols = [list(range(n))]
+        for q in born[1:]:
+            r = by_gen[q % m]
+            cols.append([r[x] for x in cols[q // m]])
+        cols = np.array(cols, dtype=dtype)
+    else:
+        # right_by_gen[j * n + x] is the index of element x * gens[j]
+        right_by_gen = np.array(right, dtype=dtype).reshape(n, m).T.ravel()
+        parent, via = np.divmod(born, m)
+        offsets = np.multiply(via, n, dtype=_index_dtype(m * n))[:, None]
+        cols = np.empty((n, n), dtype=dtype)
+        cols[0] = np.arange(n)
+        step = max(1, _ROW_BLOCK_CELLS // n)
+        for lo, hi in zip(ends, ends[1:]):
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                cols[a:b] = right_by_gen.take(cols[parent[a:b]] + offsets[a:b])
     # the identity's products are the generators; the identity itself is index 0
     gen_idx = tuple(dict.fromkeys(y for y in right[:m] if y))
     return FiniteGroup(
