@@ -20,9 +20,10 @@ them.
 Permutation groups are closed one breadth-first layer at a time on arrays of
 images in the narrowest unsigned point type, with one gather per layer and
 one lookup of each product's bytes, and their tables are filled one layer at
-a time. Labels are display-only: the constructors here hand FiniteGroup a
-function that formats one label on first use, from the permutations or from
-the factors' labels, never from a parent's table.
+a time, or one element at a time in Python lists up to order 32. Labels are
+display-only: the constructors here hand FiniteGroup a function that formats
+one label on first use, from the permutations or from the factors' labels,
+never from a parent's table.
 """
 
 from __future__ import annotations
@@ -790,11 +791,12 @@ class _Permutations:
     def __init__(self, index: dict, dtype, degree: int):
         self.elements = list(index)
         self.index = index
-        self.dtype = dtype
+        self.dtype = np.dtype(dtype)
         self.degree = degree
 
     def __call__(self, x: int) -> str:
-        return cycle_label(np.frombuffer(self.elements[x], dtype=self.dtype).tolist())
+        # an unsigned numpy type's char is the struct format of its items
+        return cycle_label(memoryview(self.elements[x]).cast(self.dtype.char).tolist())
 
     def find(self, perm) -> int | None:
         if len(perm) != self.degree:
@@ -823,7 +825,8 @@ def group_from_permutations(
     numbering of a search one element at a time. Element y is first reached
     as parent * generator, so column y of the table is column parent
     followed by right multiplication by that generator; the columns are
-    filled one layer at a time. Labels are formatted on first use.
+    filled one layer at a time, or one at a time in Python lists in a small
+    group. Labels are formatted on first use.
     """
     if degree < 1:
         raise NotAPermutation(f"degree {degree} must be positive")
